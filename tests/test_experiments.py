@@ -334,3 +334,113 @@ class TestWindows:
         sc = small_scenario(small_net, horizon=100, realizations=1)
         with pytest.raises(ValueError):
             cr.run_scenario(sc, windows=((50, 200),))
+
+
+SCALAR_KEYS = {
+    "name",
+    "cache_size",
+    "gamma",
+    "learner",
+    "horizon",
+    "realizations",
+    "base_seed",
+    "request_mode",
+    "requests_per_slot",
+}
+
+
+def written_doc(scenario):
+    return json.loads(cr.scenario_to_json(scenario))
+
+
+class TestScenarioFileFormat:
+    """The scenario file format, pinned as literal documents."""
+
+    SMALL_LINEAR = {"alpha_g": 0.005, "alpha_l": 0.005, "alpha_r": 0.005, "epsilon": 0.05}
+
+    @pytest.mark.parametrize(
+        "preset, learner, expected",
+        [
+            ("s1", None, {"beta": 0.8, "epsilon": 0.05}),
+            ("s1", "linear", SMALL_LINEAR),
+            ("s4", None, SMALL_LINEAR),
+            ("dynamic", None, SMALL_LINEAR),
+            (
+                "s7",
+                None,
+                {
+                    "alpha_g": 0.0005,
+                    "alpha_l": 0.0005,
+                    "alpha_r": 0.0005,
+                    "epsilon": {"kind": "explore_then_inverse", "t_explore": 200},
+                },
+            ),
+            ("s1", "oracle-policy", None),
+            ("s2", "random-baseline", None),
+        ],
+    )
+    def test_learner_config_documents(self, preset, learner, expected):
+        sc = cr.preset_scenario(preset, horizon=1000, realizations=2, learner=learner)
+        doc = written_doc(sc)
+        assert SCALAR_KEYS | {"g_chain", "l_chain", "lambda_schedule"} <= set(doc)
+        assert doc.get("learner_config") == expected
+        assert doc["gamma"] == 0.8 and doc["horizon"] == 1000 and doc["realizations"] == 2
+        back = cr.scenario_from_json(json.dumps(doc))
+        assert back.learner_config == sc.learner_config
+        assert back.lambda_schedule == sc.lambda_schedule
+
+    @pytest.mark.parametrize(
+        "beta, epsilon, expected",
+        [
+            (cr.VisitCountBeta(), cr.InverseTimeEpsilon(), {
+                "beta": {"kind": "visit_count"}, "epsilon": {"kind": "inverse_time"}}),
+            (0.5, cr.ExploreThenExploit(5), {
+                "beta": 0.5, "epsilon": {"kind": "explore_then_exploit", "t_explore": 5}}),
+            (0.25, cr.ExploreThenInverseDecay(9), {
+                "beta": 0.25, "epsilon": {"kind": "explore_then_inverse", "t_explore": 9}}),
+            (1.0, cr.ConstantEpsilon(0.2), {"beta": 1.0, "epsilon": 0.2}),
+        ],
+    )
+    def test_schedule_documents(self, small_net, beta, epsilon, expected):
+        config = cr.QLearnerConfig(beta=beta, epsilon=epsilon, gamma=0.8)
+        sc = small_scenario(small_net, learner_config=config)
+        doc = written_doc(sc)
+        assert doc["learner_config"] == expected
+        assert cr.scenario_from_json(json.dumps(doc)).learner_config == config
+
+    def test_cost_schedule_document(self):
+        sc = cr.preset_scenario("dynamic", horizon=100)
+        assert written_doc(sc)["lambda_schedule"] == [
+            {"start": 0, "lambda1": 0, "lambda2": 1000, "lambda3": 0},
+            {"start": 50, "lambda1": 0, "lambda2": 0, "lambda3": 1000},
+        ]
+
+    def test_scalars_and_chains(self, small_net):
+        sc = small_scenario(small_net, request_mode="empirical", requests_per_slot=7)
+        doc = written_doc(sc)
+        assert {k: doc[k] for k in SCALAR_KEYS} == {
+            "name": "test",
+            "cache_size": 2,
+            "gamma": 0.8,
+            "learner": "exact",
+            "horizon": 2000,
+            "realizations": 3,
+            "base_seed": 7,
+            "request_mode": "empirical",
+            "requests_per_slot": 7,
+        }
+        g_chain, _ = small_net
+        assert doc["g_chain"] == {
+            "states": [s.probs.tolist() for s in g_chain.states],
+            "transition": g_chain.transition.tolist(),
+        }
+
+    def test_missing_optional_fields_take_the_defaults(self, small_net):
+        doc = written_doc(small_scenario(small_net))
+        for key in ("name", "request_mode", "requests_per_slot"):
+            del doc[key]
+        doc["learner_config"] = {}
+        back = cr.scenario_from_json(json.dumps(doc))
+        assert back.name == "custom"
+        assert back.request_mode == "state" and back.requests_per_slot == 100
+        assert back.learner_config == cr.QLearnerConfig()
