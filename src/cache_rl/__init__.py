@@ -25,7 +25,6 @@ from .experiments import (
     cache_hit_fraction,
     export_metrics,
     large_network_chains,
-    linear_q_matrix,
     list_presets,
     load_scenario,
     normalized_q_error,
@@ -70,6 +69,7 @@ from .q_linear import (
     LinearParams,
     LinearRunResult,
     greedy_top_m,
+    linear_q_matrix,
     linear_td_error,
     psi,
     q_hat,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -139,16 +139,17 @@ class CostParams:
     lambda3: float  # global-mismatch weight
 
     def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
-        return {"lambda1": self.lambda1, "lambda2": self.lambda2, "lambda3": self.lambda3}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CostParams":
-        return cls(doc["lambda1"], doc["lambda2"], doc["lambda3"])
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 @dataclass(frozen=True)

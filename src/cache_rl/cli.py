@@ -39,6 +39,8 @@ def _resolve_scenario(spec: str, args) -> object:
     else:
         if not os.path.exists(spec):
             raise ValueError(f"scenario {spec!r} is neither a preset nor an existing file")
+        if getattr(args, "learner", None) is not None:
+            raise ValueError("--learner applies to presets only; a scenario file names its learner")
         scenario = load_scenario(spec)
         overrides = {}
         if args.horizon is not None:
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
     run.add_argument("--horizon", type=int, default=None, help="override the slot count")
     run.add_argument("--realizations", type=int, default=None, help="override the realization count")
-    run.add_argument("--learner", default=None, help="override the preset's learner kind")
+    run.add_argument("--learner", default=None, help="override a preset's learner kind")
     run.add_argument("--out", default="metrics.csv", help="output CSV path")
     run.add_argument(
         "--oracle-compare",

@@ -22,18 +22,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .caching_core import ActionSpace, CacheAction, CostParams
-from .mdp_oracle import PolicyIterationResult, StateSpace, long_run_average_cost, policy_iteration
+from .mdp_oracle import (
+    PolicyIterationResult,
+    StateSpace,
+    long_run_average_cost,
+    policy_iteration,
+    relative_q_error,
+)
 from .popularity import MarkovChain, PopularityProfile, random_chain, zipf_profile
 from .q_exact import BatchExactAgent, QLearnerConfig
-from .q_linear import BatchLinearAgent, LinearLearnerConfig, LinearParams
+from .q_linear import BatchLinearAgent, LinearLearnerConfig, LinearParams, linear_q_matrix
 from .schedules import (
     ExploreThenInverseDecay,
     PiecewiseCostSchedule,
     as_cost_schedule,
-    beta_from_json,
-    beta_to_json,
-    epsilon_schedule_from_json,
-    epsilon_schedule_to_json,
+    fields_from_json,
+    fields_to_json,
 )
 from .simulate import (
     OraclePolicyAgent,
@@ -44,6 +48,8 @@ from .simulate import (
 )
 
 LEARNER_KINDS = ("exact", "linear", "oracle-policy", "random-baseline")
+# Configuration class of each learner kind that takes one.
+LEARNER_CONFIGS = {"exact": QLearnerConfig, "linear": LinearLearnerConfig}
 
 # Cost-weight presets (lambda1, lambda2, lambda3).
 PRESET_PARAMS = {
@@ -146,10 +152,9 @@ class Scenario:
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         object.__setattr__(self, "lambda_schedule", as_cost_schedule(self.lambda_schedule))
-        if self.learner == "exact" and not isinstance(self.learner_config, QLearnerConfig):
-            raise ValueError("exact learner needs a QLearnerConfig")
-        if self.learner == "linear" and not isinstance(self.learner_config, LinearLearnerConfig):
-            raise ValueError("linear learner needs a LinearLearnerConfig")
+        config_cls = LEARNER_CONFIGS.get(self.learner)
+        if config_cls is not None and not isinstance(self.learner_config, config_cls):
+            raise ValueError(f"{self.learner} learner needs a {config_cls.__name__}")
         if self.learner_config is not None and self.learner_config.gamma != self.gamma:
             raise ValueError("learner_config.gamma must match the scenario gamma")
 
@@ -173,63 +178,45 @@ def preset_scenario(
     base_seed: int = 7,
     learner: str | None = None,
 ) -> Scenario:
-    """Build a ready-to-run Scenario for a named preset (s1..s9, dynamic)."""
+    """Build a ready-to-run Scenario for a named preset (s1..s9, dynamic).
+
+    ``dynamic`` runs the small network for 40 000 slots under s4 weights,
+    switching to s5 weights at half the horizon.
+    """
     if name == "dynamic":
-        g_chain, l_chain = small_network_chains()
         horizon = 40_000 if horizon is None else horizon
         schedule = PiecewiseCostSchedule(
             segments=((0, PRESET_PARAMS["s4"]), (horizon // 2, PRESET_PARAMS["s5"]))
         )
-        return Scenario(
-            name="dynamic",
-            g_chain=g_chain,
-            l_chain=l_chain,
-            cache_size=2,
-            gamma=0.8,
-            lambda_schedule=schedule,
-            learner="linear" if learner is None else learner,
-            learner_config=LinearLearnerConfig(),
-            horizon=horizon,
-            realizations=100 if realizations is None else realizations,
-            base_seed=base_seed,
-        )
-    if name not in PRESET_PARAMS:
+    elif name in PRESET_PARAMS:
+        horizon = 100_000 if horizon is None else horizon
+        schedule = PiecewiseCostSchedule.constant(PRESET_PARAMS[name])
+    else:
         raise ValueError(f"unknown preset {name!r}")
-    params = PRESET_PARAMS[name]
-    if name in SMALL_NET_PRESETS:
-        g_chain, l_chain = small_network_chains()
-        cache_size = 2
-        horizon = 100_000 if horizon is None else horizon
-        realizations = 100 if realizations is None else realizations
-        kind = learner if learner is not None else ("linear" if name in ("s4", "s5") else "exact")
+    large = name in LARGE_NET_PRESETS
+    if learner is None:
+        learner = "exact" if name in SMALL_NET_PRESETS and name not in ("s4", "s5") else "linear"
+    if learner == "linear" and large:
+        config = LinearLearnerConfig(
+            alpha_g=LARGE_NET_ALPHA,
+            alpha_l=LARGE_NET_ALPHA,
+            alpha_r=LARGE_NET_ALPHA,
+            epsilon=ExploreThenInverseDecay(t_explore=max(1, horizon // 5)),
+        )
     else:
-        g_chain, l_chain = large_network_chains()
-        cache_size = 10
-        horizon = 100_000 if horizon is None else horizon
-        realizations = 1 if realizations is None else realizations
-        kind = learner if learner is not None else "linear"
-    if kind == "exact":
-        config = QLearnerConfig()
-    elif kind == "linear":
-        if name in LARGE_NET_PRESETS:
-            config = LinearLearnerConfig(
-                alpha_g=LARGE_NET_ALPHA,
-                alpha_l=LARGE_NET_ALPHA,
-                alpha_r=LARGE_NET_ALPHA,
-                epsilon=ExploreThenInverseDecay(t_explore=max(1, horizon // 5)),
-            )
-        else:
-            config = LinearLearnerConfig(epsilon=0.05)
-    else:
-        config = None
+        config_cls = LEARNER_CONFIGS.get(learner)
+        config = None if config_cls is None else config_cls()
+    g_chain, l_chain = large_network_chains() if large else small_network_chains()
+    if realizations is None:
+        realizations = 1 if large else 100
     return Scenario(
         name=name,
         g_chain=g_chain,
         l_chain=l_chain,
-        cache_size=cache_size,
+        cache_size=10 if large else 2,
         gamma=0.8,
-        lambda_schedule=PiecewiseCostSchedule.constant(params),
-        learner=kind,
+        lambda_schedule=schedule,
+        learner=learner,
         learner_config=config,
         horizon=horizon,
         realizations=realizations,
@@ -349,10 +336,7 @@ def run_scenario(
             error_slots = list(range(stride - 1, scenario.horizon, stride))
             if error_slots[-1] != scenario.horizon - 1:
                 error_slots.append(scenario.horizon - 1)
-        if scenario.learner == "exact":
-            agent.set_error_reference(oracle.q)
-        else:
-            agent.set_error_reference(oracle.q, space)
+        agent.set_error_reference(oracle.q, space)
     else:
         error_slots = None
 
@@ -404,29 +388,13 @@ def cache_hit_fraction(action: CacheAction, p_l: PopularityProfile) -> float:
     return float(p_l.probs[np.array(action.files) - 1].sum())
 
 
-def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
-    """Materialize the linear learner's Q values over all (state, action)."""
-    idx = np.arange(space.n_states)
-    gl, a_prev = np.divmod(idx, space.n_actions)
-    g, l = np.divmod(gl, space.n_l)
-    scores = params.theta_g[g] + params.theta_l[l] + params.theta_r * space.action_masks[a_prev]
-    return scores @ (1.0 - space.action_masks).T
-
-
 def normalized_q_error(q_hat, q_star: np.ndarray, space: StateSpace | None = None) -> float:
     """Relative Frobenius error ||Q_hat - Q*||_F / ||Q*||_F."""
     if isinstance(q_hat, LinearParams):
         if space is None:
             raise ValueError("materializing linear parameters needs the state space")
         q_hat = linear_q_matrix(q_hat, space)
-    q_hat = np.asarray(q_hat, dtype=np.float64)
-    q_star = np.asarray(q_star, dtype=np.float64)
-    if q_hat.shape != q_star.shape:
-        raise ValueError("Q tables must have identical shapes")
-    denom = float(np.linalg.norm(q_star))
-    if denom == 0.0:
-        raise ValueError("reference Q table has zero norm")
-    return float(np.linalg.norm(q_hat - q_star) / denom)
+    return relative_q_error(q_hat, q_star)
 
 
 def random_baseline_action(space: ActionSpace, rng: np.random.Generator) -> int:
@@ -497,73 +465,36 @@ def read_metrics(path) -> tuple[dict, dict[str, np.ndarray]]:
     return metadata, {name: data[:, i] for i, name in enumerate(header)}
 
 
+# Scenario fields with their own codecs; the other fields are plain values.
+_STRUCTURED_FIELDS = ("g_chain", "l_chain", "lambda_schedule", "learner_config")
+
+
 def scenario_to_json(scenario: Scenario) -> str:
-    doc = {
-        "name": scenario.name,
-        "cache_size": scenario.cache_size,
-        "gamma": scenario.gamma,
-        "g_chain": json.loads(scenario.g_chain.to_json()),
-        "l_chain": json.loads(scenario.l_chain.to_json()),
-        "lambda_schedule": scenario.lambda_schedule.to_json(),
-        "learner": scenario.learner,
-        "horizon": scenario.horizon,
-        "realizations": scenario.realizations,
-        "base_seed": scenario.base_seed,
-        "request_mode": scenario.request_mode,
-        "requests_per_slot": scenario.requests_per_slot,
-    }
-    config = scenario.learner_config
-    if isinstance(config, QLearnerConfig):
-        doc["learner_config"] = {
-            "beta": beta_to_json(config.beta),
-            "epsilon": epsilon_schedule_to_json(config.epsilon),
-        }
-    elif isinstance(config, LinearLearnerConfig):
-        doc["learner_config"] = {
-            "alpha_g": config.alpha_g,
-            "alpha_l": config.alpha_l,
-            "alpha_r": config.alpha_r,
-            "epsilon": epsilon_schedule_to_json(config.epsilon),
-        }
+    """One key per Scenario field; the learner's gamma is the scenario's."""
+    doc = fields_to_json(scenario, skip=_STRUCTURED_FIELDS)
+    doc["g_chain"] = json.loads(scenario.g_chain.to_json())
+    doc["l_chain"] = json.loads(scenario.l_chain.to_json())
+    doc["lambda_schedule"] = scenario.lambda_schedule.to_json()
+    if scenario.learner_config is not None:
+        doc["learner_config"] = fields_to_json(scenario.learner_config, skip=("gamma",))
     return json.dumps(doc, indent=2)
 
 
 def scenario_from_json(text: str) -> Scenario:
+    """Inverse of :func:`scenario_to_json`; absent optional fields take their defaults."""
     doc = json.loads(text)
-    gamma = float(doc["gamma"])
-    learner = doc["learner"]
-    config_doc = doc.get("learner_config", {}) or {}
-    if learner == "exact":
-        config = QLearnerConfig(
-            beta=beta_from_json(config_doc.get("beta", 0.8)),
-            epsilon=epsilon_schedule_from_json(config_doc.get("epsilon", 0.05)),
-            gamma=gamma,
+    kwargs = fields_from_json(Scenario, {"name": "custom", **doc}, skip=_STRUCTURED_FIELDS)
+    kwargs["g_chain"] = MarkovChain.from_json(json.dumps(doc["g_chain"]))
+    kwargs["l_chain"] = MarkovChain.from_json(json.dumps(doc["l_chain"]))
+    kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])
+    config_cls = LEARNER_CONFIGS.get(kwargs["learner"])
+    kwargs["learner_config"] = None
+    if config_cls is not None:
+        config_doc = doc.get("learner_config") or {}
+        kwargs["learner_config"] = config_cls(
+            **fields_from_json(config_cls, config_doc, skip=("gamma",)), gamma=kwargs["gamma"]
         )
-    elif learner == "linear":
-        config = LinearLearnerConfig(
-            alpha_g=float(config_doc.get("alpha_g", 0.005)),
-            alpha_l=float(config_doc.get("alpha_l", 0.005)),
-            alpha_r=float(config_doc.get("alpha_r", 0.005)),
-            epsilon=epsilon_schedule_from_json(config_doc.get("epsilon", 0.05)),
-            gamma=gamma,
-        )
-    else:
-        config = None
-    return Scenario(
-        name=doc.get("name", "custom"),
-        g_chain=MarkovChain.from_json(json.dumps(doc["g_chain"])),
-        l_chain=MarkovChain.from_json(json.dumps(doc["l_chain"])),
-        cache_size=int(doc["cache_size"]),
-        gamma=gamma,
-        lambda_schedule=PiecewiseCostSchedule.from_json(doc["lambda_schedule"]),
-        learner=learner,
-        learner_config=config,
-        horizon=int(doc["horizon"]),
-        realizations=int(doc["realizations"]),
-        base_seed=int(doc["base_seed"]),
-        request_mode=doc.get("request_mode", "state"),
-        requests_per_slot=int(doc.get("requests_per_slot", 100)),
-    )
+    return Scenario(**kwargs)
 
 
 def load_scenario(path) -> Scenario:

@@ -45,6 +45,10 @@ class StateSpace:
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
         self.refresh_counts = m - overlap
+        # Components and cache mask of every state, in index order.
+        gl, self.state_actions = np.divmod(np.arange(self.n_states), self.n_actions)
+        self.state_g, self.state_l = np.divmod(gl, self.n_l)
+        self.state_masks = self.action_masks[self.state_actions]
 
     @property
     def catalog_size(self) -> int:
@@ -54,17 +58,19 @@ class StateSpace:
     def cache_size(self) -> int:
         return self.actions.m
 
+    def state_indices(self, g, l, a_idx):
+        """Vectorized state index of (global state, local state, cached action)."""
+        return (g * self.n_l + l) * self.n_actions + a_idx
+
     def state_index(self, g: int, l: int, a_idx: int) -> int:
         if not (0 <= g < self.n_g and 0 <= l < self.n_l and 0 <= a_idx < self.n_actions):
             raise ValueError("state components out of range")
-        return (g * self.n_l + l) * self.n_actions + a_idx
+        return int(self.state_indices(g, l, a_idx))
 
     def state_components(self, index: int) -> tuple[int, int, int]:
         if not 0 <= index < self.n_states:
             raise ValueError(f"state index {index} out of range")
-        gl, a_idx = divmod(index, self.n_actions)
-        g, l = divmod(gl, self.n_l)
-        return g, l, a_idx
+        return int(self.state_g[index]), int(self.state_l[index]), int(self.state_actions[index])
 
     def system_state(self, index: int) -> SystemState:
         g, l, a_idx = self.state_components(index)
@@ -226,7 +232,8 @@ def long_run_average_cost(
     Starts from the simulator's initial distribution (uniform over chain
     states, cache = action ``initial_action_index``) and iterates the
     damped chain (I + P)/2 to its limiting distribution, so periodic
-    chains converge too.
+    chains converge too. Raises RuntimeError when the iteration has not
+    converged after ``max_iter`` steps.
     """
     policy = np.asarray(policy, dtype=np.int64)
     p_pi = _policy_transition_matrix(space, policy)
@@ -240,9 +247,25 @@ def long_run_average_cost(
             dist = nxt
             break
         dist = nxt
+    else:
+        raise RuntimeError(
+            f"limiting distribution did not converge to tol {tol:g} in {max_iter} iterations"
+        )
     cbar = space.expected_cost_matrix(params)
     c_pi = cbar[np.arange(space.n_states), policy]
     return float(dist @ c_pi)
+
+
+def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
+    """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table."""
+    q = np.asarray(q, dtype=np.float64)
+    q_star = np.asarray(q_star, dtype=np.float64)
+    if q.shape != q_star.shape:
+        raise ValueError("Q tables must have identical shapes")
+    denom = float(np.linalg.norm(q_star))
+    if denom == 0.0:
+        raise ValueError("reference Q table has zero norm")
+    return float(np.linalg.norm(q - q_star) / denom)
 
 
 def _files_label(space: StateSpace, a_idx: int) -> str:

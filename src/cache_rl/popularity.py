@@ -164,14 +164,21 @@ def zipf_profile(f: int, eta: float, ordering=None) -> PopularityProfile:
     return PopularityProfile(probs)
 
 
+def next_states(cum_rows: np.ndarray, u) -> np.ndarray:
+    """Categorical step for each cumulative transition row in ``cum_rows``.
+
+    The next state is the number of row entries <= the uniform draw ``u``,
+    clamped to the last state (rounding can leave a row's total below u).
+    """
+    nxt = (cum_rows <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(nxt, cum_rows.shape[-1] - 1)
+
+
 def step_chain(chain: MarkovChain, current: int, rng: np.random.Generator) -> int:
     """Draw the next state index given the current one."""
     if not 0 <= current < chain.n_states:
         raise ValueError(f"state index {current} out of range")
-    row = chain.transition[current]
-    cum = np.cumsum(row)
-    nxt = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(nxt, chain.n_states - 1)
+    return int(next_states(np.cumsum(chain.transition[current]), rng.random()))
 
 
 def sample_requests(profile: PopularityProfile, n: int, rng: np.random.Generator) -> RequestBatch:
@@ -195,6 +202,16 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+def nearest_states(profiles: np.ndarray, state_profiles: np.ndarray) -> np.ndarray:
+    """Row of ``state_profiles`` closest in total variation to each profile.
+
+    ``profiles`` has shape (..., F) and ``state_profiles`` (n_states, F);
+    ties break toward the lowest state index.
+    """
+    dists = 0.5 * np.abs(profiles[..., None, :] - state_profiles).sum(axis=-1)
+    return np.argmin(dists, axis=-1)
+
+
 def quantize_to_state(profile: PopularityProfile, chain: MarkovChain) -> int:
     """Index of the chain state closest to ``profile`` in total variation.
 
@@ -202,8 +219,7 @@ def quantize_to_state(profile: PopularityProfile, chain: MarkovChain) -> int:
     """
     if profile.catalog_size != chain.catalog_size:
         raise ValueError("profile and chain catalog sizes differ")
-    dists = 0.5 * np.abs(chain.profile_matrix() - profile.probs).sum(axis=1)
-    return int(np.argmin(dists))
+    return int(nearest_states(profile.probs, chain.profile_matrix()))
 
 
 def random_chain(

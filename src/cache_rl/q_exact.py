@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp_oracle import StateSpace
+from .mdp_oracle import StateSpace, relative_q_error
 from .schedules import (
     EpsilonSchedule,
     VisitCountBeta,
@@ -95,7 +95,6 @@ class BatchExactAgent:
         self._per_visit = isinstance(config.beta, VisitCountBeta)
         self._a_idx: np.ndarray | None = None
         self._qstar: np.ndarray | None = None
-        self._qstar_norm = 0.0
         self._eps: np.ndarray | None = None
         self._u: np.ndarray | None = None
         self._explore_a: np.ndarray | None = None
@@ -120,9 +119,9 @@ class BatchExactAgent:
             [rng.integers(0, self.space.n_actions, size=n) for rng in rngs]
         )
 
-    def select(self, j, g, l_seen, files_prev, mask_prev):
+    def select(self, j, g, l_seen, mask_prev):
         space = self.space
-        s_prev = (g * space.n_l + l_seen) * space.n_actions + self._a_idx
+        s_prev = space.state_indices(g, l_seen, self._a_idx)
         greedy = np.argmin(self.q[self._r, s_prev], axis=1)
         explore = self._u[:, j] < self._eps[j]
         a = np.where(explore, self._explore_a[:, j], greedy)
@@ -132,7 +131,7 @@ class BatchExactAgent:
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         space = self.space
         s_prev, a = self._pending
-        s_next = (g_next * space.n_l + l_next_seen) * space.n_actions + a
+        s_next = space.state_indices(g_next, l_next_seen, a)
         q_min_next = self.q[self._r, s_next].min(axis=1)
         if self._per_visit:
             beta = 1.0 / (1.0 + self._visits[self._r, s_prev, a])
@@ -146,15 +145,12 @@ class BatchExactAgent:
         self._last_beta = float(np.asarray(beta).ravel()[0])
         self._a_idx = a
 
-    def set_error_reference(self, qstar: np.ndarray) -> None:
-        self._qstar = np.asarray(qstar, dtype=np.float64)
-        self._qstar_norm = float(np.linalg.norm(self._qstar))
-        if self._qstar_norm == 0.0:
-            raise ValueError("reference Q table has zero norm")
+    def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
+        """Reference Q table over ``space``, the space the agent learns on."""
+        self._qstar = qstar
 
     def normalized_error(self) -> np.ndarray:
-        diff = self.q - self._qstar[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=(1, 2))) / self._qstar_norm
+        return np.array([relative_q_error(q, self._qstar) for q in self.q])
 
     def trace_epsilon(self, j) -> float:
         return float(self._eps[j])

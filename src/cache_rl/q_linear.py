@@ -17,11 +17,13 @@ error, touching one theta_g row, one theta_l row, and theta_r per slot.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caching_core import CacheAction, SystemState
+from .mdp_oracle import StateSpace, relative_q_error
 from .schedules import (
     EpsilonSchedule,
     PiecewiseCostSchedule,
@@ -47,8 +49,9 @@ class LinearLearnerConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha_g", "alpha_l", "alpha_r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
@@ -171,6 +174,17 @@ def sgd_update(
     return out
 
 
+def _q_table(theta_g, theta_l, theta_r, space: StateSpace) -> np.ndarray:
+    """Linear Q values over all (state, action) pairs of ``space``."""
+    scores = theta_g[space.state_g] + theta_l[space.state_l] + theta_r * space.state_masks
+    return scores @ (1.0 - space.action_masks).T
+
+
+def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
+    """Materialize the linear learner's Q values over all (state, action)."""
+    return _q_table(params.theta_g, params.theta_l, params.theta_r, space)
+
+
 class BatchLinearAgent:
     """Lockstep linear learner driven by the simulation engine."""
 
@@ -188,7 +202,7 @@ class BatchLinearAgent:
         self._u: np.ndarray | None = None
         self._ts: np.ndarray | None = None
         self._pending = None
-        self._err_space = None
+        self._err_ref: tuple[np.ndarray, StateSpace] | None = None
 
     def begin(self, n_realizations: int) -> None:
         self.theta_g = np.zeros((n_realizations, self.n_g, self.f))
@@ -202,7 +216,7 @@ class BatchLinearAgent:
         self._u = np.stack([rng.random(ts.size) for rng in rngs])
         self._draws.draw(rngs, ts.size)
 
-    def select(self, j, g, l_seen, files_prev, mask_prev):
+    def select(self, j, g, l_seen, mask_prev):
         with np.errstate(over="ignore", invalid="ignore"):
             scores = (
                 self.theta_g[self._r, g]
@@ -250,30 +264,14 @@ class BatchLinearAgent:
             theta_r=float(self.theta_r[realization]),
         )
 
-    def set_error_reference(self, qstar: np.ndarray, space) -> None:
-        self._qstar = np.asarray(qstar, dtype=np.float64)
-        norm = float(np.linalg.norm(self._qstar))
-        if norm == 0.0:
-            raise ValueError("reference Q table has zero norm")
-        self._qstar_norm = norm
-        self._err_space = space
-        idx = np.arange(space.n_states)
-        gl, self._sa_prev = np.divmod(idx, space.n_actions)
-        self._sg, self._sl = np.divmod(gl, space.n_l)
-        self._prev_masks = space.action_masks[self._sa_prev]
-        self._not_cached_t = (1.0 - space.action_masks).T
+    def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
+        """Reference Q table over ``space``, a state space of this network."""
+        self._err_ref = (qstar, space)
 
     def normalized_error(self) -> np.ndarray:
-        errs = np.empty(len(self._r))
-        for r in self._r:
-            scores = (
-                self.theta_g[r][self._sg]
-                + self.theta_l[r][self._sl]
-                + self.theta_r[r] * self._prev_masks
-            )
-            q = scores @ self._not_cached_t
-            errs[r] = np.linalg.norm(q - self._qstar) / self._qstar_norm
-        return errs
+        qstar, space = self._err_ref
+        thetas = zip(self.theta_g, self.theta_l, self.theta_r)
+        return np.array([relative_q_error(_q_table(*theta, space), qstar) for theta in thetas])
 
     def trace_epsilon(self, j) -> float:
         return float(self._eps[j])

@@ -7,7 +7,7 @@ piecewise-constant segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -88,33 +88,6 @@ def as_epsilon_schedule(value) -> EpsilonSchedule:
     raise TypeError(f"not an epsilon schedule: {value!r}")
 
 
-def epsilon_schedule_to_json(schedule: EpsilonSchedule) -> dict | float:
-    if isinstance(schedule, ConstantEpsilon):
-        return schedule.value
-    if isinstance(schedule, InverseTimeEpsilon):
-        return {"kind": "inverse_time"}
-    if isinstance(schedule, ExploreThenExploit):
-        return {"kind": "explore_then_exploit", "t_explore": schedule.t_explore}
-    if isinstance(schedule, ExploreThenInverseDecay):
-        return {"kind": "explore_then_inverse", "t_explore": schedule.t_explore}
-    raise TypeError(f"not an epsilon schedule: {schedule!r}")
-
-
-def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
-    if isinstance(doc, (int, float)):
-        return ConstantEpsilon(float(doc))
-    kind = doc["kind"]
-    if kind == "constant":
-        return ConstantEpsilon(float(doc["value"]))
-    if kind == "inverse_time":
-        return InverseTimeEpsilon()
-    if kind == "explore_then_exploit":
-        return ExploreThenExploit(int(doc["t_explore"]))
-    if kind == "explore_then_inverse":
-        return ExploreThenInverseDecay(int(doc["t_explore"]))
-    raise ValueError(f"unknown epsilon schedule kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class VisitCountBeta:
     """Per-pair Robbins-Monro step size beta = 1/(1 + visits(s, a))."""
@@ -127,18 +100,72 @@ def validate_beta(beta) -> None:
         raise ValueError("beta must lie in (0, 1]")
 
 
-def beta_to_json(beta) -> dict | float:
-    if isinstance(beta, VisitCountBeta):
-        return {"kind": "visit_count"}
-    return float(beta)
+# JSON "kind" of every schedule class; a schedule's fields are the other keys.
+_SCHEDULE_KINDS = {
+    "constant": ConstantEpsilon,
+    "inverse_time": InverseTimeEpsilon,
+    "explore_then_exploit": ExploreThenExploit,
+    "explore_then_inverse": ExploreThenInverseDecay,
+    "visit_count": VisitCountBeta,
+}
+_KIND_OF = {cls: kind for kind, cls in _SCHEDULE_KINDS.items()}
 
 
-def beta_from_json(doc):
+def schedule_to_json(schedule) -> dict | float:
+    """A constant epsilon or step size as a bare number, else {"kind", **fields}."""
+    if isinstance(schedule, ConstantEpsilon):
+        return schedule.value
+    if isinstance(schedule, (int, float)):
+        return float(schedule)
+    if type(schedule) not in _KIND_OF:
+        raise TypeError(f"not a schedule: {schedule!r}")
+    return {"kind": _KIND_OF[type(schedule)], **asdict(schedule)}
+
+
+def schedule_from_json(doc):
+    """Inverse of :func:`schedule_to_json`; a bare number is returned as a float."""
     if isinstance(doc, (int, float)):
         return float(doc)
-    if doc["kind"] == "visit_count":
-        return VisitCountBeta()
-    raise ValueError(f"unknown beta schedule {doc!r}")
+    if doc["kind"] not in _SCHEDULE_KINDS:
+        raise ValueError(f"unknown schedule kind {doc['kind']!r}")
+    cls = _SCHEDULE_KINDS[doc["kind"]]
+    return cls(**fields_from_json(cls, doc))
+
+
+epsilon_schedule_to_json = beta_to_json = schedule_to_json
+beta_from_json = schedule_from_json
+
+
+def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
+    return as_epsilon_schedule(schedule_from_json(doc))
+
+
+# Casts by field annotation; annotations are strings (postponed evaluation).
+_CASTS = {"int": int, "float": float, "str": str}
+
+
+def fields_to_json(obj, skip=()) -> dict:
+    """JSON document of a dataclass: one key per field, schedules encoded."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+    return {k: schedule_to_json(v) if is_dataclass(v) else v for k, v in values.items()}
+
+
+def fields_from_json(cls, doc: dict, skip=()) -> dict:
+    """Constructor arguments of dataclass ``cls`` given in ``doc``.
+
+    Fields missing from ``doc`` are left out, so they take the dataclass
+    defaults; int, float and str fields are cast, schedule documents decoded.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc and f.name not in skip:
+            value = doc[f.name]
+            if isinstance(value, dict) and "kind" in value:
+                value = schedule_from_json(value)
+            elif f.type in _CASTS:
+                value = _CASTS[f.type](value)
+            kwargs[f.name] = value
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -194,10 +221,7 @@ class PiecewiseCostSchedule:
 
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
-        segments = tuple(
-            (int(item["start"]), CostParams(item["lambda1"], item["lambda2"], item["lambda3"]))
-            for item in doc
-        )
+        segments = tuple((int(item["start"]), CostParams.from_json_dict(item)) for item in doc)
         return cls(segments=segments)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .popularity import MarkovChain
+from .popularity import MarkovChain, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
 CHUNK = 2048
@@ -126,13 +126,6 @@ def realization_rng(base_seed: int, realization: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(realization,)))
 
 
-def _step_states(cum_rows: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized categorical step: one draw per realization."""
-    rows = cum_rows[current]
-    nxt = (rows <= u[:, None]).sum(axis=1)
-    return np.minimum(nxt, cum_rows.shape[0] - 1)
-
-
 def run_lockstep(
     env: PopularityEnv,
     agent,
@@ -148,6 +141,15 @@ def run_lockstep(
     ``windows`` is a sequence of (start, stop) slot intervals for which
     per-realization mean cost and hit fraction are returned. ``error_slots``
     lists slots after which ``agent.normalized_error()`` is sampled.
+
+    Agent contract (arrays have one row per realization; j is the slot's
+    offset in its chunk): ``m`` is the cache capacity; ``begin(R)`` resets;
+    ``predraw(rngs, ts)`` makes the agent's draws for the chunk of 0-based
+    slots ``ts``, after the engine's own; ``select(j, g, l_seen, mask_prev)``
+    returns the new cache as (R, M) sorted 0-based files and its (R, F)
+    mask; ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
+    outcome. ``normalized_error()`` -> (R,) is needed with ``error_slots``,
+    ``trace_epsilon(j)`` and ``trace_beta(j)`` with ``collect_trace``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -167,7 +169,6 @@ def run_lockstep(
     g = np.array([int(rng.integers(n_g)) for rng in rngs], dtype=np.int64)
     l = np.array([int(rng.integers(n_l)) for rng in rngs], dtype=np.int64)
     l_seen = l.copy()
-    files_prev = np.tile(np.arange(m, dtype=np.int64), (n_real, 1))
     mask_prev = np.zeros((n_real, f))
     mask_prev[:, :m] = 1.0
 
@@ -214,8 +215,8 @@ def run_lockstep(
         l_path = np.empty((n_real, n), dtype=np.int64)
         gg, ll = g, l
         for j in range(n):
-            gg = _step_states(cum_g, gg, u_g[:, j])
-            ll = _step_states(cum_l, ll, u_l[:, j])
+            gg = next_states(cum_g[gg], u_g[:, j])
+            ll = next_states(cum_l[ll], u_l[:, j])
             g_path[:, j] = gg
             l_path[:, j] = ll
         counts = None
@@ -227,15 +228,14 @@ def run_lockstep(
 
         for j in range(n):
             t = c0 + j
-            files, mask = agent.select(j, g, l_seen, files_prev, mask_prev)
+            files, mask = agent.select(j, g, l_seen, mask_prev)
             g_next = g_path[:, j]
             l_next = l_path[:, j]
             uncached_g = 1.0 - (mask * g_profiles[g_next]).sum(axis=1)
             if empirical:
                 freq = counts[:, j, :] / n_req
                 cached_l = (mask * freq).sum(axis=1)
-                dists = np.abs(freq[:, None, :] - l_profiles[None, :, :]).sum(axis=2)
-                l_next_seen = np.argmin(dists, axis=1)
+                l_next_seen = nearest_states(freq, l_profiles)
             else:
                 cached_l = (mask * l_profiles[l_next]).sum(axis=1)
                 l_next_seen = l_next
@@ -266,7 +266,6 @@ def run_lockstep(
             l = l_next
             l_seen = l_next_seen
             mask_prev = mask
-            files_prev = files
 
     for w, (a, b) in enumerate(windows):
         win_cost[:, w] /= b - a
@@ -325,7 +324,7 @@ class RandomBaselineAgent:
     def predraw(self, rngs, ts) -> None:
         self._draws.draw(rngs, ts.size)
 
-    def select(self, j, g, l_seen, files_prev, mask_prev):
+    def select(self, j, g, l_seen, mask_prev):
         return self._draws.masks_at(j)
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
@@ -355,10 +354,9 @@ class OraclePolicyAgent:
     def predraw(self, rngs, ts) -> None:
         pass
 
-    def select(self, j, g, l_seen, files_prev, mask_prev):
+    def select(self, j, g, l_seen, mask_prev):
         space = self.space
-        s_prev = (g * space.n_l + l_seen) * space.n_actions + self._a_idx
-        self._a_idx = self.policy[s_prev]
+        self._a_idx = self.policy[space.state_indices(g, l_seen, self._a_idx)]
         files = space.action_files[self._a_idx]
         mask = space.action_masks[self._a_idx]
         return files, mask

@@ -85,6 +85,12 @@ class TestCostParams:
         with pytest.raises(ValueError):
             cr.CostParams(-1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        for weights in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                cr.CostParams(*weights)
+
 
 class TestRefreshCost:
     def test_no_fetch(self):

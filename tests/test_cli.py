@@ -99,3 +99,25 @@ def test_oracle_subcommand_exports_three_csvs(tmp_path, capsys):
 def test_oracle_rejects_dynamic(capsys):
     assert main(["oracle", "--scenario", "dynamic", "--out", "x"]) == 2
     assert "constant" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc["lambda_schedule"][0]["lambda2"] = float("nan")
+    sc_path = tmp_path / "nan.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert "lambda2 must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_run_rejects_learner_override_for_scenario_file(tmp_path, capsys):
+    sc_path = tmp_path / "scenario.json"
+    cr.save_scenario(cr.preset_scenario("s1", horizon=50, realizations=1), sc_path)
+    out_path = tmp_path / "m.csv"
+    code = main(
+        ["run", "--scenario", str(sc_path), "--learner", "random-baseline", "--out", str(out_path)]
+    )
+    assert code == 2
+    assert "--learner" in capsys.readouterr().err

@@ -68,6 +68,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             cr.preset_scenario("s99")
 
+    @pytest.mark.parametrize("learner", ["exact", "linear", "oracle-policy", "random-baseline"])
+    def test_dynamic_preset_takes_every_learner(self, learner):
+        sc = cr.preset_scenario("dynamic", learner=learner)
+        expected = {"exact": cr.QLearnerConfig(), "linear": cr.LinearLearnerConfig()}
+        assert sc.learner == learner
+        assert sc.learner_config == expected.get(learner)
+        assert (sc.horizon, sc.realizations, sc.cache_size) == (40_000, 100, 2)
+        assert sc.lambda_schedule.segments == (
+            (0, cr.PRESET_PARAMS["s4"]),
+            (20_000, cr.PRESET_PARAMS["s5"]),
+        )
+
     def test_scenario_json_round_trip(self, tmp_path):
         sc = cr.preset_scenario("s2", horizon=500, realizations=2)
         path = tmp_path / "scenario.json"

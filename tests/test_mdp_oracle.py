@@ -249,6 +249,15 @@ class TestAverageCostAndExport:
         trace = cr.run_scenario(sc)
         assert abs(trace.run_avg_cost[-1] - analytic) / analytic < 0.02
 
+    def test_long_run_average_raises_when_not_converged(self, small_space):
+        params = cr.PRESET_PARAMS["s2"]
+        policy = cr.policy_iteration(small_space, 0.8, params).policy
+        assert cr.long_run_average_cost(small_space, policy, params) == pytest.approx(
+            596.57, abs=0.01
+        )
+        with pytest.raises(RuntimeError, match="did not converge"):
+            cr.long_run_average_cost(small_space, policy, params, max_iter=1)
+
     def test_csv_exports(self, small_space, tmp_path):
         params = cr.CostParams(10, 600, 1000)
         res = cr.policy_iteration(small_space, 0.8, params)

@@ -173,6 +173,14 @@ class TestTdErrorAndSgd:
                           cr.LinearLearnerConfig(gamma=0.8))
 
 
+class TestLinearLearnerConfig:
+    @pytest.mark.parametrize("name", ["alpha_g", "alpha_l", "alpha_r"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_step_sizes_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            cr.LinearLearnerConfig(**{name: bad})
+
+
 class TestGradientCheck:
     def test_semi_gradient_matches_central_differences(self):
         """Squared TD error with a frozen bootstrap target is quadratic in

@@ -50,6 +50,16 @@ class TestEpsilonSchedules:
         ):
             assert epsilon_schedule_from_json(epsilon_schedule_to_json(sched)) == sched
 
+    def test_json_fields_are_cast_to_their_types(self):
+        assert epsilon_schedule_from_json(
+            {"kind": "explore_then_exploit", "t_explore": 5.0}
+        ) == ExploreThenExploit(5)
+        assert epsilon_schedule_from_json({"kind": "constant", "value": 1}) == ConstantEpsilon(1.0)
+        with pytest.raises(ValueError):
+            epsilon_schedule_from_json({"kind": "explore_then_inverse", "t_explore": float("nan")})
+        with pytest.raises(ValueError):
+            epsilon_schedule_from_json({"kind": "bogus"})
+
     def test_beta_json(self):
         assert beta_from_json(beta_to_json(0.8)) == 0.8
         assert isinstance(beta_from_json(beta_to_json(VisitCountBeta())), VisitCountBeta)
