@@ -1,13 +1,15 @@
 """Differential tests: the lockstep engine against a manual per-slot loop.
 
-On random small instances, ``run_lockstep`` with each learner kind must
-reproduce, bit for bit, a loop that replays the engine's documented draw
-order (per realization: initial global and local state, then per chunk the
-global chain draws, the local chain draws, the request samples in empirical
-mode, and the agent's own draws) through the single-step public API:
-``step_chain``, ``sample_requests``, ``quantize_to_state(estimate_empirical(...))``,
+On random small instances, ``run_lockstep`` with each learner kind, the
+oracle-policy agent and the random baseline must reproduce, bit for bit, a
+loop that replays the engine's documented draw order (per realization:
+initial global and local state, then per chunk the global chain draws, the
+local chain draws, the request samples in empirical mode, and the agent's
+own draws) through the single-step public API: ``step_chain``,
+``sample_requests``, ``quantize_to_state(estimate_empirical(...))``,
 ``aggregate_cost``, ``ExactQLearner`` and ``psi``/``greedy_top_m``/
-``linear_td_error``/``sgd_update``.
+``linear_td_error``/``sgd_update``. For one realization, the learners'
+traces must equal the loop's actions, seen states and costs slot by slot.
 
 Catalogs stay below 8 files, so every numpy sum over a catalog-length row
 (the engine's masked sums) and every sum over the cached files (the scalar
@@ -83,10 +85,12 @@ def instances(draw, max_m):
     )
 
 
-def run_engine(inst, agent):
+def run_engine(inst, agent, collect_trace=False):
     rngs = [cr.realization_rng(inst["seed"], r) for r in range(inst["n_real"])]
     with mock.patch.object(simulate, "CHUNK", inst["chunk"]):
-        return simulate.run_lockstep(inst["env"], agent, inst["schedule"], inst["horizon"], rngs)
+        return simulate.run_lockstep(
+            inst["env"], agent, inst["schedule"], inst["horizon"], rngs, collect_trace
+        )
 
 
 def walk(chain, state, n, rng):
@@ -98,7 +102,10 @@ def walk(chain, state, n, rng):
 
 
 def manual_run(inst, realization, agent_draws, choose, update):
-    """One realization through the scalar API; returns (costs, hits).
+    """One realization through the scalar API.
+
+    Returns (costs, hits, actions, g_states, l_states): per slot, the cost,
+    the hit fraction, the chosen CacheAction and the next state it saw.
 
     ``agent_draws(rng, n)`` makes the agent's draws for a chunk,
     ``choose(t, j, draws, prev)`` picks the action from the previous
@@ -110,7 +117,7 @@ def manual_run(inst, realization, agent_draws, choose, update):
     g = int(rng.integers(g_chain.n_states))
     l = int(rng.integers(l_chain.n_states))
     prev = cr.SystemState(g=g, l=l, action=cr.CacheAction(tuple(range(1, m + 1)), f))
-    costs, hits = [], []
+    costs, hits, actions, g_states, l_states = [], [], [], [], []
     for c0 in range(0, horizon, chunk):
         n = min(chunk, horizon - c0)
         g_path = walk(g_chain, g, n, rng)
@@ -143,8 +150,11 @@ def manual_run(inst, realization, agent_draws, choose, update):
             update(prev, action, nxt, cost)
             costs.append(cost)
             hits.append(cr.cache_hit_fraction(action, revealed[j]))
+            actions.append(action)
+            g_states.append(nxt.g)
+            l_states.append(nxt.l)
             prev = nxt
-    return costs, hits
+    return costs, hits, actions, g_states, l_states
 
 
 def assert_same_aggregates(result, per_real):
@@ -154,6 +164,19 @@ def assert_same_aggregates(result, per_real):
     for k, got in enumerate((result.avg_cost, result.hit_fraction)):
         per_slot = np.array([run[k] for run in per_real]).T.copy()
         np.testing.assert_array_equal(got, [row.mean() for row in per_slot])
+
+
+def assert_same_trace(result, per_real):
+    """With one realization, the engine's trace equals the manual loop's
+    actions (as 0-based files), seen states and costs."""
+    trace = result.trace
+    if trace is None:
+        return
+    costs, _, actions, g_states, l_states = per_real[0]
+    np.testing.assert_array_equal(trace.actions, [[x - 1 for x in a.files] for a in actions])
+    np.testing.assert_array_equal(trace.g_states, g_states)
+    np.testing.assert_array_equal(trace.l_states, l_states)
+    np.testing.assert_array_equal(trace.costs, costs)
 
 
 def explore_draws(n_actions):
@@ -173,7 +196,7 @@ class TestEngineAgainstManualLoop:
             beta=VisitCountBeta() if visit_beta else 0.8, epsilon=inst["epsilon"], gamma=0.8
         )
         agent = BatchExactAgent(space, config)
-        result = run_engine(inst, agent)
+        result = run_engine(inst, agent, collect_trace=inst["n_real"] == 1)
         index = space.actions.index_of
         per_real = []
         for r in range(inst["n_real"]):
@@ -196,6 +219,7 @@ class TestEngineAgainstManualLoop:
             )
             np.testing.assert_array_equal(agent.q[r], learner.q)
         assert_same_aggregates(result, per_real)
+        assert_same_trace(result, per_real)
 
     # The engine sums the top-M scores in np.partition order, the scalar
     # q_hat in ascending file order; for M <= 2 the two sums are the same
@@ -209,7 +233,7 @@ class TestEngineAgainstManualLoop:
             alpha_g=alpha, alpha_l=alpha / 2, alpha_r=alpha, epsilon=inst["epsilon"], gamma=0.8
         )
         agent = BatchLinearAgent(env.g_chain.n_states, env.l_chain.n_states, f, m, config)
-        result = run_engine(inst, agent)
+        result = run_engine(inst, agent, collect_trace=inst["n_real"] == 1)
         per_real = []
         for r in range(inst["n_real"]):
             params = [LinearParams.zeros(env.g_chain.n_states, env.l_chain.n_states, f)]
@@ -234,6 +258,7 @@ class TestEngineAgainstManualLoop:
             np.testing.assert_array_equal(agent.theta_l[r], params[0].theta_l)
             assert agent.theta_r[r] == params[0].theta_r
         assert_same_aggregates(result, per_real)
+        assert_same_trace(result, per_real)
 
     @SETTINGS
     @given(inst=instances(max_m=6))
@@ -251,5 +276,23 @@ class TestEngineAgainstManualLoop:
         per_real = [
             manual_run(inst, r, lambda rng, n: None, choose, lambda *args: None)
             for r in range(inst["n_real"])
+        ]
+        assert_same_aggregates(result, per_real)
+
+    @SETTINGS
+    @given(inst=instances(max_m=6))
+    def test_random_baseline_agent(self, inst):
+        env, m = inst["env"], inst["m"]
+        f = env.catalog_size
+        result = run_engine(inst, simulate.RandomBaselineAgent(f, m))
+
+        def draws(rng, n):
+            return np.argpartition(rng.random((n, f)), m - 1, axis=1)[:, :m]
+
+        def choose(t, j, draws, prev):
+            return cr.CacheAction(tuple(int(x) + 1 for x in draws[j]), f)
+
+        per_real = [
+            manual_run(inst, r, draws, choose, lambda *args: None) for r in range(inst["n_real"])
         ]
         assert_same_aggregates(result, per_real)
