@@ -20,6 +20,13 @@ from .popularity import MarkovChain, PopularityProfile
 MATERIALIZE_LIMIT = 200_000
 
 
+def files_mask(files: np.ndarray, f: int) -> np.ndarray:
+    """0/1 masks of length F with ones at the 0-based ``files`` on the last axis."""
+    mask = np.zeros(files.shape[:-1] + (f,))
+    np.put_along_axis(mask, files, 1.0, axis=-1)
+    return mask
+
+
 @dataclass(frozen=True)
 class CacheAction:
     """A set of distinct 1-based file indices cached for one slot."""
@@ -43,9 +50,7 @@ class CacheAction:
 
     def as_mask(self) -> np.ndarray:
         """0/1 vector of length F with ones at cached files."""
-        mask = np.zeros(self.catalog_size, dtype=np.float64)
-        mask[np.array(self.files) - 1] = 1.0
-        return mask
+        return files_mask(np.array(self.files) - 1, self.catalog_size)
 
 
 class ActionSpace:
@@ -120,10 +125,7 @@ class ActionSpace:
 
     def mask_matrix(self) -> np.ndarray:
         """(|A|, F) 0/1 matrix, one row per action."""
-        files = self.files_array()
-        masks = np.zeros((self.size, self.f), dtype=np.float64)
-        masks[np.arange(self.size)[:, None], files] = 1.0
-        return masks
+        return files_mask(self.files_array(), self.f)
 
 
 def enumerate_actions(f: int, m: int) -> ActionSpace:

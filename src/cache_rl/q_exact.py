@@ -78,10 +78,6 @@ class ExactQLearner:
         self.visits[s_prev, a] += 1
         return float(self.q[s_prev, a])
 
-    def greedy_policy(self) -> np.ndarray:
-        """Current greedy action per state (ties to lowest index)."""
-        return np.argmin(self.q, axis=1)
-
 
 class BatchExactAgent:
     """Lockstep tabular learner driven by the simulation engine."""
@@ -126,7 +122,7 @@ class BatchExactAgent:
         explore = self._u[:, j] < self._eps[j]
         a = np.where(explore, self._explore_a[:, j], greedy)
         self._pending = (s_prev, a)
-        return space.action_files[a], space.action_masks[a]
+        return space.action_masks[a]
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         space = self.space

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caching_core import CacheAction, SystemState
+from .caching_core import CacheAction, SystemState, files_mask
 from .mdp_oracle import StateSpace, relative_q_error
 from .schedules import (
     EpsilonSchedule,
@@ -223,18 +223,12 @@ class BatchLinearAgent:
                 + self.theta_l[self._r, l_seen]
                 + self.theta_r[:, None] * mask_prev
             )
-            order = np.argsort(-scores, axis=1, kind="stable")[:, : self.m]
-            greedy_files = np.sort(order, axis=1)
-            n_real = greedy_files.shape[0]
-            greedy_mask = np.zeros((n_real, self.f))
-            greedy_mask[self._r[:, None], greedy_files] = 1.0
+            top = np.argsort(-scores, axis=1, kind="stable")[:, : self.m]
             explore = self._u[:, j] < self._eps[j]
-            rand_files, rand_mask = self._draws.masks_at(j)
-            files = np.where(explore[:, None], rand_files, greedy_files)
-            mask = np.where(explore[:, None], rand_mask, greedy_mask)
+            mask = files_mask(np.where(explore[:, None], self._draws.files[:, j], top), self.f)
             q_prev = scores.sum(axis=1) - (scores * mask).sum(axis=1)
         self._pending = (g, l_seen, q_prev, mask)
-        return files, mask
+        return mask
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         g_prev, l_prev, q_prev, mask = self._pending

@@ -7,6 +7,7 @@ piecewise-constant segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
@@ -41,11 +42,19 @@ class InverseTimeEpsilon:
         return np.minimum(1.0, 1.0 / np.maximum(ts, 1.0))
 
 
+def _check_t_explore(t_explore) -> None:
+    if not (math.isfinite(t_explore) and t_explore >= 0):
+        raise ValueError("t_explore must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ExploreThenExploit:
     """Pure exploration for the first ``t_explore`` slots, then pure greed."""
 
     t_explore: int
+
+    def __post_init__(self) -> None:
+        _check_t_explore(self.t_explore)
 
     def epsilon_at(self, t: int) -> float:
         return 1.0 if t <= self.t_explore else 0.0
@@ -59,6 +68,9 @@ class ExploreThenInverseDecay:
     """Pure exploration for ``t_explore`` slots, then 1/(t - t_explore)."""
 
     t_explore: int
+
+    def __post_init__(self) -> None:
+        _check_t_explore(self.t_explore)
 
     def epsilon_at(self, t: int) -> float:
         if t <= self.t_explore:
@@ -140,8 +152,15 @@ def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
     return as_epsilon_schedule(schedule_from_json(doc))
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON number as an int; a bool or a float with a fractional part is rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # Casts by field annotation; annotations are strings (postponed evaluation).
-_CASTS = {"int": int, "float": float, "str": str}
+_CASTS = {"float": float, "str": str}
 
 
 def fields_to_json(obj, skip=()) -> dict:
@@ -154,7 +173,8 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
     """Constructor arguments of dataclass ``cls`` given in ``doc``.
 
     Fields missing from ``doc`` are left out, so they take the dataclass
-    defaults; int, float and str fields are cast, schedule documents decoded.
+    defaults; int (see :func:`_json_int`), float and str fields are cast,
+    schedule documents decoded.
     """
     kwargs = {}
     for f in fields(cls):
@@ -162,6 +182,8 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
             value = doc[f.name]
             if isinstance(value, dict) and "kind" in value:
                 value = schedule_from_json(value)
+            elif f.type == "int":
+                value = _json_int(value, f.name)
             elif f.type in _CASTS:
                 value = _CASTS[f.type](value)
             kwargs[f.name] = value
@@ -221,7 +243,9 @@ class PiecewiseCostSchedule:
 
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
-        segments = tuple((int(item["start"]), CostParams.from_json_dict(item)) for item in doc)
+        segments = tuple(
+            (_json_int(item["start"], "start"), CostParams.from_json_dict(item)) for item in doc
+        )
         return cls(segments=segments)
 
 

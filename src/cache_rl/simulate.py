@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .caching_core import files_mask
 from .popularity import MarkovChain, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
@@ -65,9 +66,8 @@ class RunTrace:
 
     g_states: np.ndarray
     l_states: np.ndarray
-    actions: np.ndarray  # (horizon, M) 0-based file indices
+    actions: np.ndarray  # (horizon, M) sorted 0-based file indices
     costs: np.ndarray
-    hits: np.ndarray
     epsilons: np.ndarray
     betas: np.ndarray
 
@@ -146,10 +146,10 @@ def run_lockstep(
     offset in its chunk): ``m`` is the cache capacity; ``begin(R)`` resets;
     ``predraw(rngs, ts)`` makes the agent's draws for the chunk of 0-based
     slots ``ts``, after the engine's own; ``select(j, g, l_seen, mask_prev)``
-    returns the new cache as (R, M) sorted 0-based files and its (R, F)
-    mask; ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
+    returns the new cache as an (R, F) 0/1 mask with M ones per row;
+    ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
     outcome. ``normalized_error()`` -> (R,) is needed with ``error_slots``,
-    ``trace_epsilon(j)`` and ``trace_beta(j)`` with ``collect_trace``.
+    and ``trace_epsilon(j)`` and ``trace_beta(j)`` only with ``collect_trace``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -200,7 +200,6 @@ def run_lockstep(
             l_states=np.empty(horizon, dtype=np.int64),
             actions=np.empty((horizon, m), dtype=np.int64),
             costs=np.empty(horizon),
-            hits=np.empty(horizon),
             epsilons=np.empty(horizon),
             betas=np.empty(horizon),
         )
@@ -228,7 +227,7 @@ def run_lockstep(
 
         for j in range(n):
             t = c0 + j
-            files, mask = agent.select(j, g, l_seen, mask_prev)
+            mask = agent.select(j, g, l_seen, mask_prev)
             g_next = g_path[:, j]
             l_next = l_path[:, j]
             uncached_g = 1.0 - (mask * g_profiles[g_next]).sum(axis=1)
@@ -256,9 +255,8 @@ def run_lockstep(
             if trace is not None:
                 trace.g_states[t] = g_next[0]
                 trace.l_states[t] = l_next_seen[0]
-                trace.actions[t] = files[0]
+                trace.actions[t] = np.flatnonzero(mask[0])
                 trace.costs[t] = cost[0]
-                trace.hits[t] = cached_l[0]
                 trace.epsilons[t] = agent.trace_epsilon(j)
                 trace.betas[t] = agent.trace_beta(j)
 
@@ -293,22 +291,19 @@ class UniformActionDraws:
     def __init__(self, f: int, m: int):
         self.f = f
         self.m = m
-        self.files: np.ndarray | None = None  # (R, n, M)
+        self.files: np.ndarray | None = None  # (R, n, M), unordered within a row
 
     def draw(self, rngs, n: int) -> None:
         picks = []
         for rng in rngs:
             u = rng.random((n, self.f))
             idx = np.argpartition(u, self.m - 1, axis=1)[:, : self.m]
-            picks.append(np.sort(idx, axis=1))
-        self.files = np.stack(picks).astype(np.int64)
+            # a copy, since a view would keep the full (n, F) index array alive
+            picks.append(idx.copy())
+        self.files = np.stack(picks)
 
-    def masks_at(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        files = self.files[:, j, :]
-        n_real = files.shape[0]
-        mask = np.zeros((n_real, self.f))
-        mask[np.arange(n_real)[:, None], files] = 1.0
-        return files, mask
+    def mask_at(self, j: int) -> np.ndarray:
+        return files_mask(self.files[:, j], self.f)
 
 
 class RandomBaselineAgent:
@@ -325,16 +320,10 @@ class RandomBaselineAgent:
         self._draws.draw(rngs, ts.size)
 
     def select(self, j, g, l_seen, mask_prev):
-        return self._draws.masks_at(j)
+        return self._draws.mask_at(j)
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         pass
-
-    def trace_epsilon(self, j) -> float:
-        return 1.0
-
-    def trace_beta(self, j) -> float:
-        return 0.0
 
 
 class OraclePolicyAgent:
@@ -357,15 +346,7 @@ class OraclePolicyAgent:
     def select(self, j, g, l_seen, mask_prev):
         space = self.space
         self._a_idx = self.policy[space.state_indices(g, l_seen, self._a_idx)]
-        files = space.action_files[self._a_idx]
-        mask = space.action_masks[self._a_idx]
-        return files, mask
+        return space.action_masks[self._a_idx]
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         pass
-
-    def trace_epsilon(self, j) -> float:
-        return 0.0
-
-    def trace_beta(self, j) -> float:
-        return 0.0

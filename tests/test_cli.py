@@ -112,6 +112,17 @@ def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_run_rejects_fractional_int_field(tmp_path, capsys):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc["horizon"] = 50.9
+    sc_path = tmp_path / "frac.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert "horizon must be an integer" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_rejects_learner_override_for_scenario_file(tmp_path, capsys):
     sc_path = tmp_path / "scenario.json"
     cr.save_scenario(cr.preset_scenario("s1", horizon=50, realizations=1), sc_path)

@@ -98,6 +98,11 @@ class TestPresets:
             small_scenario(small_net, learner_config=cr.QLearnerConfig(gamma=0.5))
         with pytest.raises(ValueError):
             small_scenario(small_net, cache_size=11)
+        for key, bad in (("horizon", 50.9), ("cache_size", 2.7), ("realizations", True)):
+            doc = written_doc(small_scenario(small_net))
+            doc[key] = bad
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                cr.scenario_from_json(json.dumps(doc))
 
 
 class TestRunScenario:

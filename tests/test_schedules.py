@@ -40,6 +40,13 @@ class TestEpsilonSchedules:
         s = ExploreThenInverseDecay(t_explore=2)
         assert [s.epsilon_at(t) for t in (1, 2, 3, 4, 6)] == [1, 1, 1.0, 0.5, 0.25]
 
+    @pytest.mark.parametrize("cls", [ExploreThenExploit, ExploreThenInverseDecay])
+    def test_t_explore_must_be_finite_and_non_negative(self, cls):
+        for bad in (float("nan"), float("inf"), -float("inf"), -5, -0.5):
+            with pytest.raises(ValueError, match="t_explore"):
+                cls(t_explore=bad)
+        assert cls(t_explore=0).t_explore == 0
+
     def test_coercion_and_json(self):
         assert as_epsilon_schedule(0.1) == ConstantEpsilon(0.1)
         for sched in (
@@ -57,6 +64,9 @@ class TestEpsilonSchedules:
         assert epsilon_schedule_from_json({"kind": "constant", "value": 1}) == ConstantEpsilon(1.0)
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "explore_then_inverse", "t_explore": float("nan")})
+        for bad in (5.5, True, float("inf")):
+            with pytest.raises(ValueError, match="t_explore must be an integer"):
+                epsilon_schedule_from_json({"kind": "explore_then_exploit", "t_explore": bad})
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "bogus"})
 
@@ -72,6 +82,12 @@ class TestPiecewiseCostSchedule:
             PiecewiseCostSchedule(segments=((5, p),))
         with pytest.raises(ValueError):
             PiecewiseCostSchedule(segments=((0, p), (0, p)))
+        doc = [{"start": 0, **p.to_json_dict()}, {"start": 50, **p.to_json_dict()}]
+        assert PiecewiseCostSchedule.from_json(doc).segments[1][0] == 50
+        for bad in (50.9, True):
+            doc[1]["start"] = bad
+            with pytest.raises(ValueError, match="start must be an integer"):
+                PiecewiseCostSchedule.from_json(doc)
 
     def test_left_closed_boundaries(self):
         a, b = cr.CostParams(1, 0, 0), cr.CostParams(2, 0, 0)
