@@ -4,11 +4,15 @@ A caching action is the size-M subset of the F-file catalog held in the
 cache for one slot. The aggregate slot cost is the sum of three parts:
 a per-file refresh charge for newly fetched files, and two mismatch
 charges that penalize the popularity mass (local and global) left
-uncached. All functions here are pure and operate on immutable inputs.
+uncached. All functions here are pure and operate on immutable inputs,
+except :func:`write_table`, the one writer of every CSV table the package
+exports: UTF-8, LF line endings, floats as 17 significant digits, and
+cached files labelled by :func:`files_label`.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
@@ -25,6 +29,34 @@ def files_mask(files: np.ndarray, f: int) -> np.ndarray:
     mask = np.zeros(files.shape[:-1] + (f,))
     np.put_along_axis(mask, files, 1.0, axis=-1)
     return mask
+
+
+def files_label(files) -> str:
+    """Sorted 0-based file indices as the 1-based table label ``"1;2"``."""
+    return ";".join(str(f + 1) for f in files)
+
+
+def _cells(row) -> list:
+    """One table row with its floats (``np.float64`` included) as 17 significant digits."""
+    return [f"{v:.17g}" if isinstance(v, float) else v for v in row]
+
+
+def write_table(path, header, rows, comments=None) -> None:
+    """Write a CSV table with LF line endings, streaming ``rows``.
+
+    ``comments`` (a mapping) come first as ``# key=value`` lines. Float cells
+    and comment values are written with 17 significant digits, so they read
+    back bit-exactly; other cells go through ``str``.
+    """
+    comments = comments or {}
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(f"# {k}={v}\n" for k, v in zip(comments, _cells(comments.values())))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(map(_cells, rows))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 
+from .caching_core import write_table
 from .experiments import (
     list_presets,
     load_scenario,
@@ -32,7 +33,7 @@ def _resolve_scenario(spec: str, args) -> object:
     if spec in names:
         scenario = preset_scenario(
             spec,
-            horizon=args.horizon,
+            horizon=getattr(args, "horizon", None),
             realizations=getattr(args, "realizations", None),
             learner=getattr(args, "learner", None),
         )
@@ -43,7 +44,7 @@ def _resolve_scenario(spec: str, args) -> object:
             raise ValueError("--learner applies to presets only; a scenario file names its learner")
         scenario = load_scenario(spec)
         overrides = {}
-        if args.horizon is not None:
+        if getattr(args, "horizon", None) is not None:
             overrides["horizon"] = args.horizon
         if getattr(args, "realizations", None) is not None:
             overrides["realizations"] = args.realizations
@@ -100,10 +101,7 @@ def _cmd_oracle(args) -> int:
     values_path = f"{args.out}_values.csv"
     q_path = f"{args.out}_q.csv"
     export_policy_csv(space, result.policy, result.values, policy_path)
-    with open(values_path, "w", encoding="utf-8") as fh:
-        fh.write("state_index,value\n")
-        for s, v in enumerate(result.values):
-            fh.write(f"{s},{v:.17g}\n")
+    write_table(values_path, ["state_index", "value"], enumerate(result.values.tolist()))
     export_qtable_csv(space, result.q, q_path)
     print(f"solved {space.n_states} states x {space.n_actions} actions "
           f"in {result.iterations} iterations")
@@ -137,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="export the optimal policy, values, and Q table")
     oracle.add_argument("--scenario", required=True, help="preset name or JSON path")
-    oracle.add_argument("--seed", type=int, default=None)
-    oracle.add_argument("--horizon", type=int, default=None)
     oracle.add_argument("--out", default="oracle", help="output path prefix")
     oracle.set_defaults(func=_cmd_oracle)
     return parser

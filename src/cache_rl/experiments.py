@@ -15,13 +15,12 @@ exact solver is tractable, and a large one (catalog 1000, capacity 10,
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caching_core import ActionSpace, CacheAction, CostParams
+from .caching_core import ActionSpace, CacheAction, CostParams, write_table
 from .mdp_oracle import (
     PolicyIterationResult,
     StateSpace,
@@ -273,20 +272,6 @@ class MetricsTrace:
         return int(self.avg_cost.size)
 
 
-def _norm_error_full(horizon: int, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Step-interpolate error snapshots over all slots (zero-init error is 1)."""
-    full = np.empty(horizon)
-    prev_val = 1.0
-    prev_slot = 0
-    for s, v in zip(slots, values):
-        full[prev_slot : s + 1] = prev_val
-        full[s] = v
-        prev_val = v
-        prev_slot = s + 1
-    full[prev_slot:] = prev_val
-    return full
-
-
 def _build_agent(scenario: Scenario, oracle: PolicyIterationResult | None, space):
     if scenario.learner == "exact":
         return BatchExactAgent(space, scenario.learner_config)
@@ -405,42 +390,28 @@ def random_baseline_action(space: ActionSpace, rng: np.random.Generator) -> int:
 
 
 def export_metrics(trace: MetricsTrace, path) -> None:
-    """Write per-slot metrics as CSV with 17-significant-digit values.
+    """Write per-slot metrics as CSV: LF line endings, 17-significant-digit floats.
 
     Leading '#' lines carry run metadata. The norm_error column appears only
     when the run was oracle-compared; between snapshots it holds the latest
     snapshot value (the error of zero-initialized tables is exactly 1).
     """
-    has_error = trace.norm_error is not None
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path!r}: {exc}") from exc
-    with fh:
-        fh.write(f"# learner={trace.learner}\n")
-        fh.write(f"# gamma={trace.gamma:.17g}\n")
-        fh.write(f"# realizations={trace.realizations}\n")
-        fh.write(f"# base_seed={trace.base_seed}\n")
-        for key, value in (trace.metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        if trace.oracle_average_cost is not None:
-            fh.write(f"# oracle_average_cost={trace.oracle_average_cost:.17g}\n")
-        writer = csv.writer(fh)
-        header = ["slot", "avg_cost", "run_avg_cost", "hit_fraction"]
-        if has_error:
-            header.append("norm_error")
-            err_full = _norm_error_full(trace.horizon, trace.error_slots, trace.norm_error)
-        writer.writerow(header)
-        for t in range(trace.horizon):
-            row = [
-                t,
-                f"{trace.avg_cost[t]:.17g}",
-                f"{trace.run_avg_cost[t]:.17g}",
-                f"{trace.hit_fraction[t]:.17g}",
-            ]
-            if has_error:
-                row.append(f"{err_full[t]:.17g}")
-            writer.writerow(row)
+    header = ["slot", "avg_cost", "run_avg_cost", "hit_fraction"]
+    columns = [trace.avg_cost, trace.run_avg_cost, trace.hit_fraction]
+    if trace.norm_error is not None:
+        header.append("norm_error")
+        latest = np.searchsorted(trace.error_slots, np.arange(trace.horizon), side="right")
+        columns.append(np.concatenate(([1.0], trace.norm_error))[latest])
+    comments = {
+        "learner": trace.learner,
+        "gamma": trace.gamma,
+        "realizations": trace.realizations,
+        "base_seed": trace.base_seed,
+        **(trace.metadata or {}),
+    }
+    if trace.oracle_average_cost is not None:
+        comments["oracle_average_cost"] = trace.oracle_average_cost
+    write_table(path, header, zip(range(trace.horizon), *(c.tolist() for c in columns)), comments)
 
 
 def read_metrics(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -16,12 +16,11 @@ simulator's concern.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .caching_core import ActionSpace, CostParams, SystemState
+from .caching_core import ActionSpace, CostParams, SystemState, files_label, write_table
 from .popularity import MarkovChain
 
 
@@ -268,37 +267,29 @@ def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
     return float(np.linalg.norm(q - q_star) / denom)
 
 
-def _files_label(space: StateSpace, a_idx: int) -> str:
-    return ";".join(str(f + 1) for f in space.action_files[a_idx])
-
-
 def export_policy_csv(space: StateSpace, policy: np.ndarray, values: np.ndarray, path) -> None:
     """Write per-state optimal actions and values (1-based file lists)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["state_index", "g_state", "l_state", "cached_files", "action_index", "action_files", "value"]
-        )
-        for s in range(space.n_states):
-            g, l, a_prev = space.state_components(s)
-            writer.writerow(
-                [
-                    s,
-                    g,
-                    l,
-                    _files_label(space, a_prev),
-                    int(policy[s]),
-                    _files_label(space, int(policy[s])),
-                    f"{values[s]:.17g}",
-                ]
-            )
+    labels = [files_label(files) for files in space.action_files.tolist()]
+    policy = [int(a) for a in policy]
+    write_table(
+        path,
+        ["state_index", "g_state", "l_state", "cached_files", "action_index", "action_files", "value"],
+        zip(
+            range(space.n_states),
+            space.state_g.tolist(),
+            space.state_l.tolist(),
+            [labels[a] for a in space.state_actions.tolist()],
+            policy,
+            [labels[a] for a in policy],
+            np.asarray(values).tolist(),
+        ),
+    )
 
 
 def export_qtable_csv(space: StateSpace, q: np.ndarray, path) -> None:
     """Write the full Q table as (state index, action index, value) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state_index", "action_index", "action_files", "value"])
-        for s in range(space.n_states):
-            for a in range(space.n_actions):
-                writer.writerow([s, a, _files_label(space, a), f"{q[s, a]:.17g}"])
+    labels = [files_label(files) for files in space.action_files.tolist()]
+    rows = (
+        (s, a, labels[a], v) for s in range(space.n_states) for a, v in enumerate(q[s].tolist())
+    )
+    write_table(path, ["state_index", "action_index", "action_files", "value"], rows)

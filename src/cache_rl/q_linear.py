@@ -16,13 +16,13 @@ error, touching one theta_g row, one theta_l row, and theta_r per slot.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .caching_core import CacheAction, SystemState, files_mask
+from .caching_core import CacheAction, SystemState, files_mask, write_table
 from .mdp_oracle import StateSpace, relative_q_error
 from .schedules import (
     EpsilonSchedule,
@@ -96,14 +96,15 @@ class LinearParams:
 
     def to_csv(self, path) -> None:
         """Rows of (block, state_row, file, value) for inspection."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["block", "state", "file", "value"])
-            for name, block in (("theta_g", self.theta_g), ("theta_l", self.theta_l)):
-                for i, row in enumerate(block):
-                    for f, v in enumerate(row):
-                        writer.writerow([name, i, f + 1, f"{v:.17g}"])
-            writer.writerow(["theta_r", "", "", f"{self.theta_r:.17g}"])
+        blocks = (("theta_g", self.theta_g), ("theta_l", self.theta_l))
+        rows = (
+            (name, i, f + 1, v)
+            for name, block in blocks
+            for i, row in enumerate(block)
+            for f, v in enumerate(row.tolist())
+        )
+        theta_r = [("theta_r", "", "", self.theta_r)]
+        write_table(path, ["block", "state", "file", "value"], itertools.chain(rows, theta_r))
 
 
 def psi(params: LinearParams, state: SystemState) -> np.ndarray:

@@ -137,7 +137,7 @@ def schedule_to_json(schedule) -> dict | float:
 def schedule_from_json(doc):
     """Inverse of :func:`schedule_to_json`; a bare number is returned as a float."""
     if isinstance(doc, (int, float)):
-        return float(doc)
+        return float(_json_number(doc, "schedule"))
     if doc["kind"] not in _SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {doc['kind']!r}")
     cls = _SCHEDULE_KINDS[doc["kind"]]
@@ -150,6 +150,13 @@ beta_from_json = schedule_from_json
 
 def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
     return as_epsilon_schedule(schedule_from_json(doc))
+
+
+def _json_number(value, name: str):
+    """``value`` unchanged unless it is a JSON ``true``/``false``; no field here is a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must not be a boolean, got {value!r}")
+    return value
 
 
 def _json_int(value, name: str) -> int:
@@ -174,7 +181,7 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
 
     Fields missing from ``doc`` are left out, so they take the dataclass
     defaults; int (see :func:`_json_int`), float and str fields are cast,
-    schedule documents decoded.
+    schedule documents decoded, and bools rejected (see :func:`_json_number`).
     """
     kwargs = {}
     for f in fields(cls):
@@ -184,8 +191,10 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
                 value = schedule_from_json(value)
             elif f.type == "int":
                 value = _json_int(value, f.name)
-            elif f.type in _CASTS:
-                value = _CASTS[f.type](value)
+            else:
+                value = _json_number(value, f.name)
+                if f.type in _CASTS:
+                    value = _CASTS[f.type](value)
             kwargs[f.name] = value
     return kwargs
 
@@ -244,7 +253,11 @@ class PiecewiseCostSchedule:
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
         segments = tuple(
-            (_json_int(item["start"], "start"), CostParams.from_json_dict(item)) for item in doc
+            (
+                _json_int(item["start"], "start"),
+                CostParams.from_json_dict({k: _json_number(v, k) for k, v in item.items()}),
+            )
+            for item in doc
         )
         return cls(segments=segments)
 

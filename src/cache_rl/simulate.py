@@ -20,16 +20,16 @@ count fractions drive the cost and the hit metric.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caching_core import files_mask
+from .caching_core import files_label, files_mask, write_table
 from .popularity import MarkovChain, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
 CHUNK = 2048
+DRAW_ROWS = 256  # rows of uniforms per Generator call in UniformActionDraws
 
 REQUEST_MODES = ("state", "empirical")
 
@@ -82,25 +82,14 @@ class RunTrace:
     def to_csv(self, path) -> None:
         """Columns: slot,g_state,l_state,action,realized_cost,epsilon,beta.
 
-        Actions render as sorted 1-based file lists joined with ';'.
+        Actions render as sorted 1-based file lists joined with ';' and
+        floats with 17 significant digits; lines end in LF.
         """
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["slot", "g_state", "l_state", "action", "realized_cost", "epsilon", "beta"]
-            )
-            for t in range(self.horizon):
-                writer.writerow(
-                    [
-                        t,
-                        int(self.g_states[t]),
-                        int(self.l_states[t]),
-                        ";".join(str(f) for f in self.action_files(t)),
-                        f"{self.costs[t]:.17g}",
-                        f"{self.epsilons[t]:.17g}",
-                        f"{self.betas[t]:.17g}",
-                    ]
-                )
+        header = ["slot", "g_state", "l_state", "action", "realized_cost", "epsilon", "beta"]
+        columns = (self.g_states, self.l_states, self.costs, self.epsilons, self.betas)
+        g, l, cost, eps, beta = (c.tolist() for c in columns)
+        labels = map(files_label, self.actions.tolist())
+        write_table(path, header, zip(range(self.horizon), g, l, labels, cost, eps, beta))
 
 
 @dataclass
@@ -294,13 +283,13 @@ class UniformActionDraws:
         self.files: np.ndarray | None = None  # (R, n, M), unordered within a row
 
     def draw(self, rngs, n: int) -> None:
-        picks = []
-        for rng in rngs:
-            u = rng.random((n, self.f))
-            idx = np.argpartition(u, self.m - 1, axis=1)[:, : self.m]
-            # a copy, since a view would keep the full (n, F) index array alive
-            picks.append(idx.copy())
-        self.files = np.stack(picks)
+        self.files = np.empty((len(rngs), n, self.m), dtype=np.intp)
+        for r, rng in enumerate(rngs):
+            # row blocks keep the (rows, F) temporaries small; the stream is unchanged
+            for lo in range(0, n, DRAW_ROWS):
+                u = rng.random((min(DRAW_ROWS, n - lo), self.f))
+                picks = np.argpartition(u, self.m - 1, axis=1)
+                self.files[r, lo : lo + DRAW_ROWS] = picks[:, : self.m]
 
     def mask_at(self, j: int) -> np.ndarray:
         return files_mask(self.files[:, j], self.f)

@@ -123,6 +123,26 @@ def test_run_rejects_fractional_int_field(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("key", ["epsilon", "beta"])
+def test_run_rejects_bool_number(tmp_path, capsys, key):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc["learner_config"][key] = True
+    sc_path = tmp_path / "bool.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert f"{key} must not be a boolean" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_oracle_rejects_seed_and_horizon(capsys):
+    for flag in ("--seed", "--horizon"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--scenario", "s1", flag, "3", "--out", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_run_rejects_learner_override_for_scenario_file(tmp_path, capsys):
     sc_path = tmp_path / "scenario.json"
     cr.save_scenario(cr.preset_scenario("s1", horizon=50, realizations=1), sc_path)

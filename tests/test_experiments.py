@@ -103,6 +103,15 @@ class TestPresets:
             doc[key] = bad
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 cr.scenario_from_json(json.dumps(doc))
+        for learner, key in (("exact", "epsilon"), ("exact", "beta"), ("linear", "alpha_g")):
+            doc = written_doc(cr.preset_scenario("s1", horizon=50, learner=learner))
+            doc["learner_config"][key] = True
+            with pytest.raises(ValueError, match=f"{key} must not be a boolean"):
+                cr.scenario_from_json(json.dumps(doc))
+        doc = written_doc(small_scenario(small_net))
+        doc["lambda_schedule"][0]["lambda1"] = True
+        with pytest.raises(ValueError, match="lambda1 must not be a boolean"):
+            cr.scenario_from_json(json.dumps(doc))
 
 
 class TestRunScenario:

@@ -69,6 +69,13 @@ class TestEpsilonSchedules:
                 epsilon_schedule_from_json({"kind": "explore_then_exploit", "t_explore": bad})
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "bogus"})
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="must not be a boolean"):
+                epsilon_schedule_from_json(bad)
+            with pytest.raises(ValueError, match="must not be a boolean"):
+                beta_from_json(bad)
+            with pytest.raises(ValueError, match="value must not be a boolean"):
+                epsilon_schedule_from_json({"kind": "constant", "value": bad})
 
     def test_beta_json(self):
         assert beta_from_json(beta_to_json(0.8)) == 0.8
@@ -88,6 +95,10 @@ class TestPiecewiseCostSchedule:
             doc[1]["start"] = bad
             with pytest.raises(ValueError, match="start must be an integer"):
                 PiecewiseCostSchedule.from_json(doc)
+        doc[1]["start"] = 50
+        for key in ("lambda1", "lambda2", "lambda3"):
+            with pytest.raises(ValueError, match=f"{key} must not be a boolean"):
+                PiecewiseCostSchedule.from_json([doc[0], {**doc[1], key: True}])
 
     def test_left_closed_boundaries(self):
         a, b = cr.CostParams(1, 0, 0), cr.CostParams(2, 0, 0)

@@ -1,9 +1,9 @@
 """The on-disk format of every CSV table, pinned on one tiny instance.
 
 Expected lines are built here from the arrays each run returns, with the
-documented format: comma-separated cells, floats as 17 significant digits,
-cached files as sorted 1-based indices joined with ';', metrics metadata as
-leading '# key=value' lines.
+documented format: comma-separated cells, LF line endings, floats as 17
+significant digits, cached files as sorted 1-based indices joined with ';',
+metrics metadata as leading '# key=value' lines.
 """
 
 import numpy as np
@@ -84,6 +84,7 @@ def test_every_table_format(tiny_instance, tmp_path):
 
     def check(path, expected):
         assert table_lines(path) == expected
+        assert b"\r" not in path.read_bytes()
         written.append(path)
 
     plain = cr.run_scenario(scenario)
