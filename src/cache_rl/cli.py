@@ -29,34 +29,32 @@ from .simulate import DivergenceError
 
 
 def _resolve_scenario(spec: str, args) -> object:
-    names = set(PRESET_PARAMS) | {"dynamic"}
-    if spec in names:
-        scenario = preset_scenario(
-            spec,
-            horizon=getattr(args, "horizon", None),
-            realizations=getattr(args, "realizations", None),
-            learner=getattr(args, "learner", None),
-        )
+    sizes = {k: getattr(args, k, None) for k in ("horizon", "realizations")}
+    learner = getattr(args, "learner", None)
+    if spec in set(PRESET_PARAMS) | {"dynamic"}:
+        scenario = preset_scenario(spec, learner=learner, **sizes)
     else:
         if not os.path.exists(spec):
             raise ValueError(f"scenario {spec!r} is neither a preset nor an existing file")
-        if getattr(args, "learner", None) is not None:
+        if learner is not None:
             raise ValueError("--learner applies to presets only; a scenario file names its learner")
-        scenario = load_scenario(spec)
-        overrides = {}
-        if getattr(args, "horizon", None) is not None:
-            overrides["horizon"] = args.horizon
-        if getattr(args, "realizations", None) is not None:
-            overrides["realizations"] = args.realizations
-        if overrides:
-            scenario = scenario_with(scenario, **overrides)
+        given = {k: v for k, v in sizes.items() if v is not None}
+        scenario = scenario_with(load_scenario(spec), **given)
     if getattr(args, "seed", None) is not None:
         scenario = scenario_with(scenario, base_seed=args.seed)
     return scenario
 
 
+def _check_writable(*paths: str) -> None:
+    """Raise before any work is done when an output file could not be created."""
+    for path in paths:
+        if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path}")
+
+
 def _cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario, args)
+    _check_writable(args.out)
     trace = run_scenario(scenario, oracle_compare=args.oracle_compare)
     export_metrics(trace, args.out)
     final = trace.run_avg_cost[-1]
@@ -95,11 +93,10 @@ def _cmd_oracle(args) -> int:
     if not scenario.lambda_schedule.is_constant:
         raise ValueError("the oracle supports constant cost weights only")
     params = scenario.lambda_schedule.segments[0][1]
+    policy_path, values_path, q_path = (f"{args.out}_{k}.csv" for k in ("policy", "values", "q"))
+    _check_writable(policy_path, values_path, q_path)
     space = StateSpace(scenario.g_chain, scenario.l_chain, scenario.cache_size)
     result = policy_iteration(space, scenario.gamma, params)
-    policy_path = f"{args.out}_policy.csv"
-    values_path = f"{args.out}_values.csv"
-    q_path = f"{args.out}_q.csv"
     export_policy_csv(space, result.policy, result.values, policy_path)
     write_table(values_path, ["state_index", "value"], enumerate(result.values.tolist()))
     export_qtable_csv(space, result.q, q_path)

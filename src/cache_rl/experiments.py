@@ -338,10 +338,7 @@ def run_scenario(
         windows=windows,
         error_slots=error_slots,
     )
-    oracle_cost = None
-    if oracle is not None:
-        params = scenario.lambda_schedule.segments[0][1]
-        oracle_cost = long_run_average_cost(space, oracle.policy, params)
+    oracle_cost = None if oracle is None else long_run_average_cost(space, oracle.policy, params)
     run_avg = np.cumsum(result.avg_cost) / np.arange(1, scenario.horizon + 1)
     return MetricsTrace(
         avg_cost=result.avg_cost,
@@ -395,6 +392,9 @@ def export_metrics(trace: MetricsTrace, path) -> None:
     Leading '#' lines carry run metadata. The norm_error column appears only
     when the run was oracle-compared; between snapshots it holds the latest
     snapshot value (the error of zero-initialized tables is exactly 1).
+    oracle_average_cost, then in the metadata, is the oracle policy's
+    ``long_run_average_cost`` from the simulator's start, as a rollout of
+    that policy measures it; under preset s2 it depends on that start.
     """
     header = ["slot", "avg_cost", "run_avg_cost", "hit_fraction"]
     columns = [trace.avg_cost, trace.run_avg_cost, trace.hit_fraction]

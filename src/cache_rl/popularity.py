@@ -101,6 +101,11 @@ class MarkovChain:
     @classmethod
     def from_json(cls, text: str) -> "MarkovChain":
         doc = json.loads(text)
+        for key in ("states", "transition"):
+            # numpy would convert "0.5" and true; a JSON document must hold numbers
+            bad = [x for x in np.asarray(doc[key], dtype=object).flat if isinstance(x, (str, bool))]
+            if bad:
+                raise ValueError(f"{key} must hold numbers, got {bad[0]!r}")
         states = tuple(PopularityProfile(np.asarray(row)) for row in doc["states"])
         return cls(states=states, transition=np.asarray(doc["transition"]))
 

@@ -153,21 +153,19 @@ def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
 
 
 def _json_number(value, name: str):
-    """``value`` unchanged unless it is a JSON ``true``/``false``; no field here is a bool."""
+    """``value`` unchanged unless it is a JSON ``true``/``false`` or a string such as ``"0.8"``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must not be a boolean, got {value!r}")
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return value
 
 
 def _json_int(value, name: str) -> int:
-    """A JSON number as an int; a bool or a float with a fractional part is rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON number as an int; a bool, a string or a fractional float is rejected."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-# Casts by field annotation; annotations are strings (postponed evaluation).
-_CASTS = {"float": float, "str": str}
 
 
 def fields_to_json(obj, skip=()) -> dict:
@@ -180,8 +178,10 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
     """Constructor arguments of dataclass ``cls`` given in ``doc``.
 
     Fields missing from ``doc`` are left out, so they take the dataclass
-    defaults; int (see :func:`_json_int`), float and str fields are cast,
-    schedule documents decoded, and bools rejected (see :func:`_json_number`).
+    defaults. Schedule documents are decoded, str fields must be strings, and
+    every other field a number: int fields through :func:`_json_int`, the
+    rest through :func:`_json_number`, float fields then cast. Field
+    annotations are strings (postponed evaluation).
     """
     kwargs = {}
     for f in fields(cls):
@@ -189,12 +189,15 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
             value = doc[f.name]
             if isinstance(value, dict) and "kind" in value:
                 value = schedule_from_json(value)
+            elif f.type == "str":
+                if not isinstance(value, str):
+                    raise ValueError(f"{f.name} must be a string, got {value!r}")
             elif f.type == "int":
                 value = _json_int(value, f.name)
             else:
                 value = _json_number(value, f.name)
-                if f.type in _CASTS:
-                    value = _CASTS[f.type](value)
+                if f.type == "float":
+                    value = float(value)
             kwargs[f.name] = value
     return kwargs
 

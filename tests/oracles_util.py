@@ -2,7 +2,12 @@
 
 Everything here is built from first principles (explicit loops over states,
 definitional cost sums, itertools enumeration) so it shares no code path
-with the vectorized solvers it validates.
+with the vectorized solvers it validates. The dense references below are
+the exception: they take the mean slot costs from
+``StateSpace.expected_cost_matrix`` (itself checked against
+``first_principles_tables``) and differ from the solvers in the transition
+path, a dense |S| x |S| matrix with a direct solve, which keeps them usable
+up to a few thousand states.
 """
 
 from __future__ import annotations
@@ -52,6 +57,65 @@ def dense_kernels(succ, prob):
         for a in range(n_a):
             np.add.at(p_full[s, a], succ[s, a], prob[s, a])
     return p_full
+
+
+def dense_policy_transition(space, policy):
+    """Dense |S| x |S| transition matrix of the chain induced by ``policy``."""
+    n_s, n_a = space.n_states, space.n_actions
+    kron = np.kron(space.g_chain.transition, space.l_chain.transition)
+    gl = np.arange(n_s) // n_a
+    p_pi = np.zeros((n_s, n_s))
+    # from (gl, a_prev) to (gl', policy[s]) with probability kron[gl, gl']
+    cols = np.arange(kron.shape[0])[None, :] * n_a + np.asarray(policy)[:, None]
+    p_pi[np.arange(n_s)[:, None], cols] = kron[gl]
+    return p_pi
+
+
+def dense_policy_evaluation(space, policy, gamma, params):
+    """Value of ``policy`` by a direct solve of (I - gamma P_pi) V = c_pi."""
+    c_pi = space.expected_cost_matrix(params)[np.arange(space.n_states), policy]
+    a = dense_policy_transition(space, policy)
+    a *= -gamma
+    a[np.diag_indices_from(a)] += 1.0
+    return np.linalg.solve(a, c_pi)
+
+
+def dense_q_from_value(space, v, gamma, params):
+    """Q[s, a] = cbar[s, a] + gamma * sum over (g', l') of P_G P_L V(g', l', a)."""
+    v_t = np.asarray(v).reshape(space.n_g, space.n_l, space.n_actions)
+    w = np.einsum("gh,lm,hma->gla", space.g_chain.transition, space.l_chain.transition, v_t)
+    q = space.expected_cost_matrix(params).reshape(w.shape[:2] + (space.n_actions,) * 2)
+    return (q + gamma * w[:, :, None, :]).reshape(space.n_states, space.n_actions)
+
+
+def dense_policy_iteration(space, gamma, params):
+    """(policy, values, Q, iterations) of policy iteration on the dense references."""
+    policy = np.zeros(space.n_states, dtype=np.int64)
+    iterations = 0
+    while True:
+        iterations += 1
+        v = dense_policy_evaluation(space, policy, gamma, params)
+        q = dense_q_from_value(space, v, gamma, params)
+        new_policy = q.argmin(axis=1)
+        if np.array_equal(new_policy, policy):
+            return policy, v, q, iterations
+        policy = new_policy
+
+
+def dense_long_run_average_cost(space, policy, params, tol=1e-13, max_iter=200_000):
+    """Per-slot cost in the limit of the damped chain (I + P_pi)/2 from the simulator's start."""
+    p_pi = dense_policy_transition(space, policy)
+    dist = np.zeros(space.n_states)
+    for g in range(space.n_g):
+        for l in range(space.n_l):
+            dist[space.state_index(g, l, 0)] = 1.0 / (space.n_g * space.n_l)
+    for _ in range(max_iter):
+        nxt = 0.5 * (dist + dist @ p_pi)
+        if np.abs(nxt - dist).sum() < tol:
+            c_pi = space.expected_cost_matrix(params)[np.arange(space.n_states), policy]
+            return float(nxt @ c_pi)
+        dist = nxt
+    raise RuntimeError("limiting distribution did not converge")
 
 
 def value_iteration_oracle(space, gamma, params, tol=1e-13):

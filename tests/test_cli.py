@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
+from cache_rl import cli
 from cache_rl.cli import main
 
 
@@ -125,14 +126,16 @@ def test_run_rejects_fractional_int_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["epsilon", "beta"])
 def test_run_rejects_bool_number(tmp_path, capsys, key):
-    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
-    doc["learner_config"][key] = True
-    sc_path = tmp_path / "bool.json"
-    sc_path.write_text(json.dumps(doc))
-    out_path = tmp_path / "m.csv"
-    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
-    assert f"{key} must not be a boolean" in capsys.readouterr().err
-    assert not out_path.exists()
+    # a JSON string holding a number is rejected the same way
+    for bad, message in ((True, "must not be a boolean"), ("0.8", "must be a number")):
+        doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+        doc["learner_config"][key] = bad
+        sc_path = tmp_path / "bad.json"
+        sc_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "m.csv"
+        assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+        assert f"{key} {message}" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 def test_oracle_rejects_seed_and_horizon(capsys):
@@ -152,3 +155,19 @@ def test_run_rejects_learner_override_for_scenario_file(tmp_path, capsys):
     )
     assert code == 2
     assert "--learner" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", computed)
+    monkeypatch.setattr(cli, "StateSpace", computed)
+    monkeypatch.setattr(cli, "policy_iteration", computed)
+    missing = tmp_path / "missing"
+    assert main(["run", "--scenario", "s1", "--out", str(missing / "m.csv")]) == 2
+    assert f"cannot write {missing / 'm.csv'}" in capsys.readouterr().err
+    assert main(["oracle", "--scenario", "s1", "--out", str(missing / "o")]) == 2
+    assert f"cannot write {missing / 'o'}_policy.csv" in capsys.readouterr().err
+    assert main(["run", "--scenario", "s1", "--out", str(tmp_path)]) == 2
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err

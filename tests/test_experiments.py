@@ -98,15 +98,33 @@ class TestPresets:
             small_scenario(small_net, learner_config=cr.QLearnerConfig(gamma=0.5))
         with pytest.raises(ValueError):
             small_scenario(small_net, cache_size=11)
-        for key, bad in (("horizon", 50.9), ("cache_size", 2.7), ("realizations", True)):
+        for key, bad, message in (
+            ("horizon", 50.9, "must be an integer"),
+            ("cache_size", 2.7, "must be an integer"),
+            ("realizations", True, "must be an integer"),
+            ("horizon", "50", "must be an integer"),
+            ("gamma", "0.8", "must be a number"),
+            ("learner", 5, "must be a string"),
+        ):
             doc = written_doc(small_scenario(small_net))
             doc[key] = bad
-            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            with pytest.raises(ValueError, match=f"{key} {message}"):
                 cr.scenario_from_json(json.dumps(doc))
-        for learner, key in (("exact", "epsilon"), ("exact", "beta"), ("linear", "alpha_g")):
+        for learner, key, bad, message in (
+            ("exact", "epsilon", True, "must not be a boolean"),
+            ("exact", "beta", True, "must not be a boolean"),
+            ("linear", "alpha_g", True, "must not be a boolean"),
+            ("exact", "beta", "0.8", "must be a number"),
+            ("linear", "alpha_g", "0.005", "must be a number"),
+        ):
             doc = written_doc(cr.preset_scenario("s1", horizon=50, learner=learner))
-            doc["learner_config"][key] = True
-            with pytest.raises(ValueError, match=f"{key} must not be a boolean"):
+            doc["learner_config"][key] = bad
+            with pytest.raises(ValueError, match=f"{key} {message}"):
+                cr.scenario_from_json(json.dumps(doc))
+        for chain, key, row, col in (("g_chain", "states", 0, 0), ("l_chain", "transition", 1, 1)):
+            doc = written_doc(small_scenario(small_net))
+            doc[chain][key][row][col] = str(doc[chain][key][row][col])
+            with pytest.raises(ValueError, match=f"{key} must hold numbers"):
                 cr.scenario_from_json(json.dumps(doc))
         doc = written_doc(small_scenario(small_net))
         doc["lambda_schedule"][0]["lambda1"] = True

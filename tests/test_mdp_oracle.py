@@ -1,10 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cache_rl as cr
 from oracles_util import (
     brute_force_optimal,
     dense_kernels,
+    dense_long_run_average_cost,
+    dense_policy_evaluation,
+    dense_policy_iteration,
     epsilon_soft_average_cost,
     first_principles_tables,
     random_instance,
@@ -92,6 +99,13 @@ class TestPolicyEvaluation:
         cbar = small_space.expected_cost_matrix(params)
         np.testing.assert_allclose(v, cbar[np.arange(small_space.n_states), policy])
 
+    def test_non_finite_values_raise(self, small_space):
+        params = cr.CostParams(1e308, 1e308, 1e308)
+        policy = np.arange(small_space.n_states) % small_space.n_actions
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                cr.policy_evaluation(small_space, policy, 0.8, params)
+
     def test_solution_satisfies_recursion(self, small_space):
         params = cr.CostParams(10, 600, 1000)
         rng = np.random.default_rng(1)
@@ -174,6 +188,19 @@ class TestPolicyIteration:
             v_min, pol = brute_force_optimal(space, 0.8, params)
             np.testing.assert_allclose(res.values, v_min, atol=1e-8)
             np.testing.assert_array_equal(res.policy, pol)
+
+    def test_rejects_invalid_policy(self, small_space):
+        params = cr.PRESET_PARAMS["s1"]
+        negative, too_large = np.zeros((2, small_space.n_states), dtype=int)
+        negative[7], too_large[7] = -1, small_space.n_actions
+        for policy in (np.zeros(2, dtype=int), negative, too_large):
+            for solve in (
+                lambda: cr.policy_iteration(small_space, 0.8, params, initial_policy=policy),
+                lambda: cr.policy_evaluation(small_space, policy, 0.8, params),
+                lambda: cr.long_run_average_cost(small_space, policy, params),
+            ):
+                with pytest.raises(ValueError, match="one valid action per state"):
+                    solve()
 
     def test_monotone_value_improvement(self):
         rng = np.random.default_rng(5)
@@ -351,3 +378,78 @@ class TestEpsilonSoftAverageCost:
         space, params = random_instance(rng, f=3, m=1)
         with pytest.raises(ValueError):
             epsilon_soft_average_cost(space, np.zeros(space.n_states, dtype=int), eps, params)
+
+
+def value_scale(space, params, gamma):
+    """max |cbar| / (1 - gamma): a bound on every |Q| that, unlike max |Q|,
+    does not vanish when every cost is rounding noise (M = F)."""
+    return np.abs(space.expected_cost_matrix(params)).max() / (1.0 - gamma)
+
+
+def assert_matches_dense_policy_iteration(space, gamma, params):
+    res = cr.policy_iteration(space, gamma, params)
+    policy, values, q, iterations = dense_policy_iteration(space, gamma, params)
+    np.testing.assert_array_equal(res.policy, policy)
+    assert res.iterations == iterations
+    scale = value_scale(space, params, gamma)
+    assert np.abs(res.q - q).max() <= 1e-10 * scale
+    assert np.abs(res.values - values).max() <= 1e-10 * scale
+    return res
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A random instance, a random policy and a discount factor."""
+    f = draw(st.integers(1, 5))
+    m = draw(st.integers(1, f))
+    n_g, n_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space, params = random_instance(rng, f=f, m=m, n_g=n_g, n_l=n_l)
+    policy = rng.integers(space.n_actions, size=space.n_states)
+    return space, params, policy, draw(st.sampled_from([0.0, 0.5, 0.8, 0.95, 0.99]))
+
+
+class TestDenseReference:
+    """The factored solver against a dense |S| x |S| transition matrix."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(evaluation_cases())
+    def test_random_instances(self, case):
+        space, params, policy, gamma = case
+        v = cr.policy_evaluation(space, policy, gamma, params)
+        ref = dense_policy_evaluation(space, policy, gamma, params)
+        c_pi = space.expected_cost_matrix(params)[np.arange(space.n_states), policy]
+        assert np.abs(v - ref).max() <= 1e-12 * np.abs(c_pi).max() / (1.0 - gamma)
+        # relative to the cost scale, which stays meaningful when every cost is ~0
+        avg = cr.long_run_average_cost(space, policy, params)
+        assert abs(avg - dense_long_run_average_cost(space, policy, params)) <= (
+            1e-12 * np.abs(c_pi).max()
+        )
+        assert_matches_dense_policy_iteration(space, gamma, params)
+
+    def test_criterion_1_instances(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            space, params = random_instance(rng, f=4, m=1, n_g=2, n_l=2)
+            assert_matches_dense_policy_iteration(space, 0.8, params)
+
+    @pytest.mark.parametrize("name", ["s1", "s2", "s3", "s4", "s5", "s6"])
+    def test_small_network_presets(self, small_space, name):
+        assert_matches_dense_policy_iteration(small_space, 0.8, cr.PRESET_PARAMS[name])
+
+    @pytest.mark.parametrize("name, digest", [("s1", "75dac216cedb"), ("s2", "46da19122b16")])
+    def test_twenty_files_three_cached(self, name, digest):
+        # |S| = 4560: the dense matrix takes 166 MB, the factored kernel 128 bytes
+        space = cr.StateSpace(*cr.small_network_chains(20), 3)
+        params = cr.PRESET_PARAMS[name]
+        res = assert_matches_dense_policy_iteration(space, 0.8, params)
+        # the policy the dense solver found before the factored kernel replaced it
+        assert hashlib.sha256(res.policy.astype(np.int64).tobytes()).hexdigest()[:12] == digest
+        avg = cr.long_run_average_cost(space, res.policy, params)
+        ref = dense_long_run_average_cost(space, res.policy, params)
+        assert avg == pytest.approx(ref, rel=1e-12)
