@@ -138,6 +138,8 @@ class Scenario:
     requests_per_slot: int = 100
 
     def __post_init__(self) -> None:
+        if "\n" in self.name or "\r" in self.name:
+            raise ValueError("name must not contain a line break")
         if self.learner not in LEARNER_KINDS:
             raise ValueError(f"learner must be one of {LEARNER_KINDS}")
         if self.g_chain.catalog_size != self.l_chain.catalog_size:
@@ -180,12 +182,12 @@ def preset_scenario(
     """Build a ready-to-run Scenario for a named preset (s1..s9, dynamic).
 
     ``dynamic`` runs the small network for 40 000 slots under s4 weights,
-    switching to s5 weights at half the horizon.
+    switching to s5 weights at half the horizon (at slot 1 when it is 1).
     """
     if name == "dynamic":
         horizon = 40_000 if horizon is None else horizon
         schedule = PiecewiseCostSchedule(
-            segments=((0, PRESET_PARAMS["s4"]), (horizon // 2, PRESET_PARAMS["s5"]))
+            segments=((0, PRESET_PARAMS["s4"]), (max(1, horizon // 2), PRESET_PARAMS["s5"]))
         )
     elif name in PRESET_PARAMS:
         horizon = 100_000 if horizon is None else horizon

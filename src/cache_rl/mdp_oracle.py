@@ -5,7 +5,9 @@ With the popularity transition matrices known, the joint process over
 evolve independently of the caching decisions and the next cache is the
 chosen action, so the kernel factorizes as P^G[g, g'] * P^L[l, l'] * 1{a'' = a}.
 The solver applies only its chain part, K = kron(P^G, P^L), to
-(n_g * n_l, |A|) tables; no |S| x |S| matrix is built.
+(n_g * n_l, |A|) tables; no |S| x |S| matrix is built. The mean cost, Q* and
+the linear Q all read w * refresh_counts[a_prev, a] + T[gl, a], one table
+layout that ``StateSpace.q_table`` alone builds.
 
 States are indexed g-major, then local state, then action index, which makes
 table layouts reproducible across runs. Ties in every argmin break toward
@@ -45,10 +47,9 @@ class StateSpace:
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
         self.refresh_counts = m - overlap
-        # Components and cache mask of every state, in index order.
+        # Components of every state, in index order.
         gl, self.state_actions = np.divmod(np.arange(self.n_states), self.n_actions)
         self.state_g, self.state_l = np.divmod(gl, self.n_l)
-        self.state_masks = self.action_masks[self.state_actions]
         # Chain part of the kernel over (g, l) pairs, g-major like the states.
         self.kernel = np.kron(g_chain.transition, l_chain.transition)
 
@@ -78,26 +79,31 @@ class StateSpace:
         g, l, a_idx = self.state_components(index)
         return SystemState(g=g, l=l, action=self.actions.action(a_idx))
 
-    def uncached_expected_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Expected next-slot uncached mass per (chain state, action).
+    def check_policy(self, policy) -> np.ndarray:
+        """``policy`` as int64 after checking it holds one valid action per state."""
+        policy = np.asarray(policy, dtype=np.int64)
+        if policy.shape != (self.n_states,) or policy.min() < 0 or policy.max() >= self.n_actions:
+            raise ValueError("policy must assign one valid action per state")
+        return policy
 
-        Returns (global (n_g, |A|), local (n_l, |A|)) arrays of
-        1 - E[p']^T a, where E[p'] is the one-step conditional mean profile.
-        """
-        exp_g = self.g_chain.transition @ self.g_chain.profile_matrix()
-        exp_l = self.l_chain.transition @ self.l_chain.profile_matrix()
-        return 1.0 - exp_g @ self.action_masks.T, 1.0 - exp_l @ self.action_masks.T
+    def mismatch_cost(self, params: CostParams) -> np.ndarray:
+        """lambda3 * (1 - E[p_G']^T a) + lambda2 * (1 - E[p_L']^T a) per (gl, a),
+        E[p'] being the one-step conditional mean profile."""
+        un_g, un_l = (
+            1.0 - chain.transition @ chain.profile_matrix() @ self.action_masks.T
+            for chain in (self.g_chain, self.l_chain)
+        )
+        cost = params.lambda3 * un_g[:, None, :] + params.lambda2 * un_l[None, :, :]
+        return cost.reshape(self.n_g * self.n_l, self.n_actions)
+
+    def q_table(self, refresh_weight: float, post: np.ndarray) -> np.ndarray:
+        """refresh_weight * refresh_counts[a_prev, a] + post[gl, a], shape (|S|, |A|)."""
+        q = refresh_weight * self.refresh_counts + post[:, None, :]
+        return q.reshape(self.n_states, self.n_actions)
 
     def expected_cost_matrix(self, params: CostParams) -> np.ndarray:
         """Mean slot cost for every (state, action) pair, shape (|S|, |A|)."""
-        un_g, un_l = self.uncached_expected_masses()
-        # shape (n_g, n_l, n_actions_prev, n_actions)
-        cbar = (
-            params.lambda1 * self.refresh_counts[None, None, :, :]
-            + params.lambda2 * un_l[None, :, None, :]
-            + params.lambda3 * un_g[:, None, None, :]
-        )
-        return cbar.reshape(self.n_states, self.n_actions)
+        return self.q_table(params.lambda1, self.mismatch_cost(params))
 
 
 def transition_prob(space: StateSpace, s: int, a_idx: int, s_next: int) -> float:
@@ -112,13 +118,11 @@ def transition_prob(space: StateSpace, s: int, a_idx: int, s_next: int) -> float
 def _policy_tables(space: StateSpace, policy, params: CostParams):
     """A policy's (gl, pi(gl, a_prev)) flat indices and mean slot costs as
     (n_g * n_l, |A|) tables indexed (gl, a_prev)."""
-    policy = np.asarray(policy, dtype=np.int64)
-    if policy.shape != (space.n_states,) or policy.min() < 0 or policy.max() >= space.n_actions:
-        raise ValueError("policy must assign one valid action per state")
-    states = np.arange(space.n_states)
+    policy = space.check_policy(policy)
     shape = (space.n_g * space.n_l, space.n_actions)
-    nxt = states - space.state_actions + policy  # gl * |A| + a_prev -> gl * |A| + pi
-    return nxt.reshape(shape), space.expected_cost_matrix(params)[states, policy].reshape(shape)
+    nxt = (np.arange(space.n_states) - space.state_actions + policy).reshape(shape)
+    refresh = space.refresh_counts[space.state_actions, policy].reshape(shape)
+    return nxt, params.lambda1 * refresh + np.take(space.mismatch_cost(params), nxt)
 
 
 def policy_evaluation(
@@ -150,11 +154,9 @@ def q_from_value(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (space.n_states,):
         raise ValueError("value function has wrong length")
-    n_gl, n_a = space.n_g * space.n_l, space.n_actions
     # w[gl, a]: expected next-state value once the cache holds action a
-    w = space.kernel @ v.reshape(n_gl, n_a)
-    q = space.expected_cost_matrix(params).reshape(n_gl, n_a, n_a) + gamma * w[:, None, :]
-    return q.reshape(space.n_states, n_a)
+    w = space.kernel @ v.reshape(space.n_g * space.n_l, space.n_actions)
+    return space.q_table(params.lambda1, space.mismatch_cost(params) + gamma * w)
 
 
 def policy_improvement(space: StateSpace, q: np.ndarray) -> np.ndarray:

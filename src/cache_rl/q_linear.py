@@ -176,9 +176,9 @@ def sgd_update(
 
 
 def _q_table(theta_g, theta_l, theta_r, space: StateSpace) -> np.ndarray:
-    """Linear Q values over all (state, action) pairs of ``space``."""
-    scores = theta_g[space.state_g] + theta_l[space.state_l] + theta_r * space.state_masks
-    return scores @ (1.0 - space.action_masks).T
+    """Linear Q values over all (state, action) pairs; a_prev^T (1 - a) is the refresh count."""
+    scores = (theta_g[:, None, :] + theta_l[None, :, :]).reshape(-1, theta_g.shape[1])
+    return space.q_table(theta_r, scores @ (1.0 - space.action_masks).T)
 
 
 def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:

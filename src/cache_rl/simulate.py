@@ -320,9 +320,7 @@ class OraclePolicyAgent:
 
     def __init__(self, space, policy: np.ndarray):
         self.space = space
-        self.policy = np.asarray(policy, dtype=np.int64)
-        if self.policy.shape != (space.n_states,):
-            raise ValueError("policy must assign one action per state")
+        self.policy = space.check_policy(policy)
         self.m = space.cache_size
         self._a_idx: np.ndarray | None = None
 

@@ -4,10 +4,10 @@ Everything here is built from first principles (explicit loops over states,
 definitional cost sums, itertools enumeration) so it shares no code path
 with the vectorized solvers it validates. The dense references below are
 the exception: they take the mean slot costs from
-``StateSpace.expected_cost_matrix`` (itself checked against
-``first_principles_tables``) and differ from the solvers in the transition
-path, a dense |S| x |S| matrix with a direct solve, which keeps them usable
-up to a few thousand states.
+``StateSpace.expected_cost_matrix`` (itself checked entry by entry against
+``first_principles_tables`` in ``TestTableBuilder``) and differ from the
+solvers in the transition path, a dense |S| x |S| matrix with a direct
+solve, which keeps them usable up to a few thousand states.
 """
 
 from __future__ import annotations

@@ -124,6 +124,25 @@ def test_run_rejects_fractional_int_field(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_run_rejects_line_break_in_name(tmp_path, capsys):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc["name"] = "a\nb"
+    sc_path = tmp_path / "name.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert "name must not contain a line break" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_run_dynamic_preset_with_one_slot(tmp_path):
+    out_path = tmp_path / "m.csv"
+    args = ["run", "--scenario", "dynamic", "--horizon", "1", "--realizations", "2"]
+    assert main(args + ["--out", str(out_path)]) == 0
+    _, cols = cr.read_metrics(out_path)
+    assert len(cols["slot"]) == 1
+
+
 @pytest.mark.parametrize("key", ["epsilon", "beta"])
 def test_run_rejects_bool_number(tmp_path, capsys, key):
     # a JSON string holding a number is rejected the same way

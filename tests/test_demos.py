@@ -1,4 +1,4 @@
-"""The demos that call the oracle run end to end, each in a fresh directory."""
+"""Demos 01-04 run end to end, each in a fresh directory."""
 
 import os
 import subprocess
@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("02_optimal_policy.py", ("oracle_policy.csv", "oracle_q.csv")),
         ("03_tabular_q_learning.py", ("tabular_metrics.csv",)),
+        ("01_popularity_dynamics.py", ()),
+        ("04_scalable_q_learning.py", ()),
     ],
 )
 def test_oracle_demo_runs(tmp_path, demo, outputs):

@@ -105,6 +105,8 @@ class TestPresets:
             ("horizon", "50", "must be an integer"),
             ("gamma", "0.8", "must be a number"),
             ("learner", 5, "must be a string"),
+            ("name", "a\nb", "must not contain a line break"),
+            ("name", "a\rb", "must not contain a line break"),
         ):
             doc = written_doc(small_scenario(small_net))
             doc[key] = bad

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cache_rl as cr
+from cache_rl import simulate
 from oracles_util import (
     brute_force_optimal,
     dense_kernels,
@@ -198,6 +199,7 @@ class TestPolicyIteration:
                 lambda: cr.policy_iteration(small_space, 0.8, params, initial_policy=policy),
                 lambda: cr.policy_evaluation(small_space, policy, 0.8, params),
                 lambda: cr.long_run_average_cost(small_space, policy, params),
+                lambda: simulate.OraclePolicyAgent(small_space, policy),
             ):
                 with pytest.raises(ValueError, match="one valid action per state"):
                     solve()
@@ -453,3 +455,43 @@ class TestDenseReference:
         avg = cr.long_run_average_cost(space, res.policy, params)
         ref = dense_long_run_average_cost(space, res.policy, params)
         assert avg == pytest.approx(ref, rel=1e-12)
+
+
+@st.composite
+def table_cases(draw):
+    """A random instance (M = F included) and random linear parameters."""
+    f = draw(st.integers(1, 4))
+    m = draw(st.integers(1, f))
+    n_g, n_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space, params = random_instance(rng, f=f, m=m, n_g=n_g, n_l=n_l)
+    theta = cr.LinearParams(rng.normal(size=(n_g, f)), rng.normal(size=(n_l, f)), rng.normal())
+    return space, params, theta
+
+
+class TestTableBuilder:
+    """Every (|S|, |A|) table of ``StateSpace.q_table`` against per-entry references."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(table_cases())
+    def test_full_tables_match_references(self, case):
+        space, params, theta = case
+        assert theta.theta_r != 0.0
+        cbar, _, _ = first_principles_tables(space, params)
+        # the largest possible slot cost: with M = F every mean cost is
+        # rounding noise, so max |cbar| would be no scale at all
+        scale = params.lambda1 * space.cache_size + params.lambda2 + params.lambda3
+        assert np.abs(space.expected_cost_matrix(params) - cbar).max() <= 1e-12 * scale
+        q_ref = np.array(
+            [
+                [cr.q_hat(theta, space.system_state(s), action) for action in space.actions]
+                for s in range(space.n_states)
+            ]
+        )
+        q = cr.linear_q_matrix(theta, space)
+        assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
