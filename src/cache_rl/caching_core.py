@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .popularity import MarkovChain, PopularityProfile
+from .popularity import MarkovChain, PopularityProfile, as_number
 
 MATERIALIZE_LIMIT = 200_000
 
@@ -174,9 +174,10 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = as_number(getattr(self, f.name), f.name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{f.name} must be finite and >= 0")
+            object.__setattr__(self, f.name, value)
 
     def to_json_dict(self) -> dict:
         return asdict(self)

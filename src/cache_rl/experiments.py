@@ -29,6 +29,7 @@ from .mdp_oracle import (
     relative_q_error,
 )
 from .popularity import MarkovChain, PopularityProfile, random_chain, zipf_profile
+from .popularity import as_int, as_number
 from .q_exact import BatchExactAgent, QLearnerConfig
 from .q_linear import BatchLinearAgent, LinearLearnerConfig, LinearParams, linear_q_matrix
 from .schedules import (
@@ -138,12 +139,18 @@ class Scenario:
     requests_per_slot: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("name", "learner", "request_mode"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("cache_size", "horizon", "realizations", "base_seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must not contain a line break")
         if self.learner not in LEARNER_KINDS:
             raise ValueError(f"learner must be one of {LEARNER_KINDS}")
-        if self.g_chain.catalog_size != self.l_chain.catalog_size:
-            raise ValueError("chains must share one catalog size")
+        # the environment checks the chain pair, request_mode and requests_per_slot
+        object.__setattr__(self, "requests_per_slot", self.env().requests_per_slot)
         if not 1 <= self.cache_size <= self.g_chain.catalog_size:
             raise ValueError("cache size must lie in 1..F")
         if not 0.0 <= self.gamma < 1.0:
@@ -457,8 +464,8 @@ def scenario_from_json(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_json`; absent optional fields take their defaults."""
     doc = json.loads(text)
     kwargs = fields_from_json(Scenario, {"name": "custom", **doc}, skip=_STRUCTURED_FIELDS)
-    kwargs["g_chain"] = MarkovChain.from_json(json.dumps(doc["g_chain"]))
-    kwargs["l_chain"] = MarkovChain.from_json(json.dumps(doc["l_chain"]))
+    kwargs["g_chain"] = MarkovChain(**doc["g_chain"])
+    kwargs["l_chain"] = MarkovChain(**doc["l_chain"])
     kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])
     config_cls = LEARNER_CONFIGS.get(kwargs["learner"])
     kwargs["learner_config"] = None

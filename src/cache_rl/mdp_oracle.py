@@ -80,11 +80,12 @@ class StateSpace:
         return SystemState(g=g, l=l, action=self.actions.action(a_idx))
 
     def check_policy(self, policy) -> np.ndarray:
-        """``policy`` as int64 after checking it holds one valid action per state."""
-        policy = np.asarray(policy, dtype=np.int64)
-        if policy.shape != (self.n_states,) or policy.min() < 0 or policy.max() >= self.n_actions:
+        """``policy`` as an int64 copy, if it is an integer array of one valid action per state."""
+        policy = np.asarray(policy)
+        valid = policy.dtype.kind in "iu" and policy.shape == (self.n_states,)
+        if not (valid and policy.min() >= 0 and policy.max() < self.n_actions):
             raise ValueError("policy must assign one valid action per state")
-        return policy
+        return policy.astype(np.int64)
 
     def mismatch_cost(self, params: CostParams) -> np.ndarray:
         """lambda3 * (1 - E[p_G']^T a) + lambda2 * (1 - E[p_L']^T a) per (gl, a),
@@ -189,7 +190,7 @@ def policy_iteration(
     """
     if initial_policy is None:
         initial_policy = np.zeros(space.n_states, dtype=np.int64)
-    policy = np.array(initial_policy, dtype=np.int64)
+    policy = space.check_policy(initial_policy)
     history = []
     for iterations in itertools.count(1):
         values = policy_evaluation(space, policy, gamma, params)

@@ -13,16 +13,63 @@ This module provides:
 All types are immutable after construction; every randomized operation takes
 an explicit caller-owned numpy Generator so parallel simulations can use
 independent streams.
+
+The package's constructors check their inputs with three rules kept here,
+so a value from code and one from a scenario file fail with one message:
+:func:`as_int` (a whole number; a bool, a string or a fraction fails),
+:func:`as_number` (a real number, not a bool) and :func:`as_probabilities`
+(finite, non-negative rows each summing to 1 within ``PROB_TOL``).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 PROB_TOL = 1e-9
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; an integral float converts, non-finite values fail."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_number(value, name: str) -> float:
+    """``value`` as a float; a bool or a non-number raises ``ValueError``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must not be a boolean, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_probabilities(values, name: str) -> np.ndarray:
+    """``values`` as a float64 copy whose rows (last axis) are probability vectors.
+
+    Only a non-ndarray is scanned element by element, as numpy reads
+    ``[true, 0.0]`` as ``[1.0, 0.0]``; an ndarray is checked by its dtype.
+    """
+    if not isinstance(values, np.ndarray):
+        bad = [x for x in np.asarray(values, dtype=object).flat if isinstance(x, (str, bool))]
+        if bad:
+            raise ValueError(f"{name} must hold numbers, got {bad[0]!r}")
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
+        raise ValueError(f"{name} entries must be finite and non-negative")
+    totals = arr.sum(axis=-1)
+    off = np.abs(totals - 1.0) > PROB_TOL
+    if off.any():
+        raise ValueError(f"every {name} row must sum to 1 (got {float(totals[off].flat[0])!r})")
+    return arr
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -37,15 +84,9 @@ class PopularityProfile:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64).copy()
-        if probs.ndim != 1 or probs.size < 1:
+        if np.ndim(self.probs) != 1 or np.size(self.probs) < 1:
             raise ValueError("profile must be a non-empty 1-D vector")
-        if np.any(probs < 0.0):
-            raise ValueError("profile entries must be non-negative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"profile entries must sum to 1 (got {total!r})")
-        object.__setattr__(self, "probs", _readonly(probs))
+        object.__setattr__(self, "probs", _readonly(as_probabilities(self.probs, "profile")))
 
     @property
     def catalog_size(self) -> int:
@@ -54,27 +95,28 @@ class PopularityProfile:
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
-    """Finite popularity-profile set with row-stochastic transitions."""
+    """Finite popularity-profile set with row-stochastic transitions.
+
+    ``states`` may also be given as the rows of an (n_states, F) matrix.
+    """
 
     states: tuple[PopularityProfile, ...]
     transition: np.ndarray
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
+        states = self.states
+        if not all(isinstance(s, PopularityProfile) for s in states):
+            states = map(PopularityProfile, as_probabilities(states, "states"))
+        states = tuple(states)
         if not states:
             raise ValueError("chain needs at least one state")
         f = states[0].catalog_size
         if any(s.catalog_size != f for s in states):
             raise ValueError("all chain states must share one catalog size")
-        trans = np.asarray(self.transition, dtype=np.float64).copy()
+        trans = as_probabilities(self.transition, "transition")
         n = len(states)
         if trans.shape != (n, n):
             raise ValueError(f"transition matrix must be {n}x{n}, got {trans.shape}")
-        if np.any(trans < 0.0) or np.any(trans > 1.0):
-            raise ValueError("transition entries must lie in [0, 1]")
-        row_sums = trans.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > PROB_TOL):
-            raise ValueError("every transition row must sum to 1")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition", _readonly(trans))
 
@@ -100,14 +142,7 @@ class MarkovChain:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkovChain":
-        doc = json.loads(text)
-        for key in ("states", "transition"):
-            # numpy would convert "0.5" and true; a JSON document must hold numbers
-            bad = [x for x in np.asarray(doc[key], dtype=object).flat if isinstance(x, (str, bool))]
-            if bad:
-                raise ValueError(f"{key} must hold numbers, got {bad[0]!r}")
-        states = tuple(PopularityProfile(np.asarray(row)) for row in doc["states"])
-        return cls(states=states, transition=np.asarray(doc["transition"]))
+        return cls(**json.loads(text))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -152,17 +187,18 @@ def zipf_profile(f: int, eta: float, ordering=None) -> PopularityProfile:
     default file 1 is rank 1, file 2 is rank 2, and so on. eta = 0 spreads
     mass uniformly; larger eta concentrates it on the top-ranked files.
     """
+    f = as_int(f, "catalog size")
+    eta = as_number(eta, "zipf exponent")
     if f < 1:
         raise ValueError("catalog size must be >= 1")
-    if eta < 0:
+    if not eta >= 0:  # NaN fails too
         raise ValueError("zipf exponent must be >= 0")
-    if ordering is None:
-        ordering = np.arange(1, f + 1)
-    ordering = np.asarray(ordering, dtype=np.int64)
-    if ordering.shape != (f,) or np.any(np.sort(ordering) != np.arange(1, f + 1)):
+    ids = np.arange(1, f + 1)
+    ordering = ids if ordering is None else np.asarray(ordering)
+    if ordering.dtype.kind not in "iu" or not np.array_equal(np.sort(ordering), ids):
         raise ValueError("ordering must be a permutation of 1..F")
     ranks = np.arange(1, f + 1, dtype=np.float64)
-    weights = ranks ** (-float(eta))
+    weights = ranks ** -eta
     weights /= weights.sum()
     probs = np.empty(f, dtype=np.float64)
     probs[ordering - 1] = weights

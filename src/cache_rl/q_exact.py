@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_oracle import StateSpace, relative_q_error
+from .popularity import as_number
 from .schedules import (
     EpsilonSchedule,
     VisitCountBeta,
@@ -30,8 +31,9 @@ class QLearnerConfig:
     gamma: float = 0.8
 
     def __post_init__(self) -> None:
-        validate_beta(self.beta)
+        object.__setattr__(self, "beta", validate_beta(self.beta))
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
+        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
 
@@ -44,7 +46,6 @@ class ExactQLearner:
         self.config = config
         self.q = np.zeros((space.n_states, space.n_actions))
         self.visits = np.zeros((space.n_states, space.n_actions), dtype=np.int64)
-        self.t = 0
 
     def epsilon_greedy_action(self, s: int, epsilon: float, rng: np.random.Generator) -> int:
         """Greedy action w.p. 1-epsilon (ties to lowest index), else uniform."""

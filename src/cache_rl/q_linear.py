@@ -24,6 +24,7 @@ import numpy as np
 
 from .caching_core import CacheAction, SystemState, files_mask, write_table
 from .mdp_oracle import StateSpace, relative_q_error
+from .popularity import as_number
 from .schedules import (
     EpsilonSchedule,
     PiecewiseCostSchedule,
@@ -49,10 +50,12 @@ class LinearLearnerConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha_g", "alpha_l", "alpha_r"):
-            value = getattr(self, name)
+            value = as_number(getattr(self, name), name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
+        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
 

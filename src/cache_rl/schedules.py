@@ -7,12 +7,12 @@ piecewise-constant segments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .caching_core import CostParams
+from .popularity import as_int, as_number
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,7 @@ class ConstantEpsilon:
     value: float = 0.05
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "value", as_number(self.value, "value"))
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
 
@@ -42,9 +43,10 @@ class InverseTimeEpsilon:
         return np.minimum(1.0, 1.0 / np.maximum(ts, 1.0))
 
 
-def _check_t_explore(t_explore) -> None:
-    if not (math.isfinite(t_explore) and t_explore >= 0):
-        raise ValueError("t_explore must be finite and >= 0")
+def _check_t_explore(schedule) -> None:
+    object.__setattr__(schedule, "t_explore", as_int(schedule.t_explore, "t_explore"))
+    if schedule.t_explore < 0:
+        raise ValueError("t_explore must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class ExploreThenExploit:
     t_explore: int
 
     def __post_init__(self) -> None:
-        _check_t_explore(self.t_explore)
+        _check_t_explore(self)
 
     def epsilon_at(self, t: int) -> float:
         return 1.0 if t <= self.t_explore else 0.0
@@ -70,7 +72,7 @@ class ExploreThenInverseDecay:
     t_explore: int
 
     def __post_init__(self) -> None:
-        _check_t_explore(self.t_explore)
+        _check_t_explore(self)
 
     def epsilon_at(self, t: int) -> float:
         if t <= self.t_explore:
@@ -91,13 +93,10 @@ EpsilonSchedule = (
 
 
 def as_epsilon_schedule(value) -> EpsilonSchedule:
-    if isinstance(value, (int, float)):
-        return ConstantEpsilon(float(value))
-    if isinstance(
-        value, (ConstantEpsilon, InverseTimeEpsilon, ExploreThenExploit, ExploreThenInverseDecay)
-    ):
+    """An epsilon schedule as is; anything else must be a number, the constant epsilon."""
+    if isinstance(value, EpsilonSchedule):
         return value
-    raise TypeError(f"not an epsilon schedule: {value!r}")
+    return ConstantEpsilon(as_number(value, "epsilon"))
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,14 @@ class VisitCountBeta:
     """Per-pair Robbins-Monro step size beta = 1/(1 + visits(s, a))."""
 
 
-def validate_beta(beta) -> None:
+def validate_beta(beta):
+    """``beta`` checked: a :class:`VisitCountBeta`, or a number in (0, 1] as a float."""
     if isinstance(beta, VisitCountBeta):
-        return
-    if not 0.0 < float(beta) <= 1.0:
+        return beta
+    beta = as_number(beta, "beta")
+    if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
+    return beta
 
 
 # JSON "kind" of every schedule class; a schedule's fields are the other keys.
@@ -135,9 +137,10 @@ def schedule_to_json(schedule) -> dict | float:
 
 
 def schedule_from_json(doc):
-    """Inverse of :func:`schedule_to_json`; a bare number is returned as a float."""
-    if isinstance(doc, (int, float)):
-        return float(_json_number(doc, "schedule"))
+    """Inverse of :func:`schedule_to_json`; any value but a {"kind", ...} document
+    is returned as is, for the constructor that takes it to check."""
+    if not (isinstance(doc, dict) and "kind" in doc):
+        return doc
     if doc["kind"] not in _SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {doc['kind']!r}")
     cls = _SCHEDULE_KINDS[doc["kind"]]
@@ -145,27 +148,14 @@ def schedule_from_json(doc):
 
 
 epsilon_schedule_to_json = beta_to_json = schedule_to_json
-beta_from_json = schedule_from_json
 
 
 def epsilon_schedule_from_json(doc) -> EpsilonSchedule:
     return as_epsilon_schedule(schedule_from_json(doc))
 
 
-def _json_number(value, name: str):
-    """``value`` unchanged unless it is a JSON ``true``/``false`` or a string such as ``"0.8"``."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must not be a boolean, got {value!r}")
-    if isinstance(value, str):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _json_int(value, name: str) -> int:
-    """A JSON number as an int; a bool, a string or a fractional float is rejected."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def beta_from_json(doc):
+    return validate_beta(schedule_from_json(doc))
 
 
 def fields_to_json(obj, skip=()) -> dict:
@@ -178,28 +168,14 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
     """Constructor arguments of dataclass ``cls`` given in ``doc``.
 
     Fields missing from ``doc`` are left out, so they take the dataclass
-    defaults. Schedule documents are decoded, str fields must be strings, and
-    every other field a number: int fields through :func:`_json_int`, the
-    rest through :func:`_json_number`, float fields then cast. Field
-    annotations are strings (postponed evaluation).
+    defaults. Schedule documents are decoded; every other value is passed on
+    as is, and the constructor of ``cls`` checks it as it checks a value
+    built in code.
     """
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in doc and f.name not in skip:
-            value = doc[f.name]
-            if isinstance(value, dict) and "kind" in value:
-                value = schedule_from_json(value)
-            elif f.type == "str":
-                if not isinstance(value, str):
-                    raise ValueError(f"{f.name} must be a string, got {value!r}")
-            elif f.type == "int":
-                value = _json_int(value, f.name)
-            else:
-                value = _json_number(value, f.name)
-                if f.type == "float":
-                    value = float(value)
-            kwargs[f.name] = value
-    return kwargs
+    return {
+        f.name: schedule_from_json(doc[f.name]) for f in fields(cls)
+        if f.name in doc and f.name not in skip
+    }
 
 
 @dataclass(frozen=True)
@@ -213,7 +189,7 @@ class PiecewiseCostSchedule:
     segments: tuple[tuple[int, CostParams], ...]
 
     def __post_init__(self) -> None:
-        segments = tuple((int(s), p) for s, p in self.segments)
+        segments = tuple((as_int(s, "start"), p) for s, p in self.segments)
         if not segments:
             raise ValueError("schedule needs at least one segment")
         if segments[0][0] != 0:
@@ -255,14 +231,7 @@ class PiecewiseCostSchedule:
 
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
-        segments = tuple(
-            (
-                _json_int(item["start"], "start"),
-                CostParams.from_json_dict({k: _json_number(v, k) for k, v in item.items()}),
-            )
-            for item in doc
-        )
-        return cls(segments=segments)
+        return cls(segments=tuple((item["start"], CostParams.from_json_dict(item)) for item in doc))
 
 
 def as_cost_schedule(value) -> PiecewiseCostSchedule:

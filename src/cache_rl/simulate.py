@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching_core import files_label, files_mask, write_table
-from .popularity import MarkovChain, nearest_states, next_states
+from .popularity import MarkovChain, as_int, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
 CHUNK = 2048
@@ -52,6 +52,8 @@ class PopularityEnv:
             raise ValueError("global and local chains must share one catalog size")
         if self.request_mode not in REQUEST_MODES:
             raise ValueError(f"request_mode must be one of {REQUEST_MODES}")
+        n_requests = as_int(self.requests_per_slot, "requests_per_slot")
+        object.__setattr__(self, "requests_per_slot", n_requests)
         if self.requests_per_slot < 1:
             raise ValueError("requests_per_slot must be >= 1")
 

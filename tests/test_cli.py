@@ -113,6 +113,26 @@ def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "chain, key, row", [("l_chain", "states", 0), ("g_chain", "transition", 1)]
+)
+def test_non_finite_probability_exits_2(tmp_path, capsys, chain, key, row):
+    # a NaN in a local profile, or a global transition row [NaN, 1.0]
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc[chain][key][row][0] = float("nan")
+    if key == "transition":
+        doc[chain][key][row][1] = 1.0
+    sc_path = tmp_path / "nan.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert f"{key} entries must be finite and non-negative" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert main(["oracle", "--scenario", str(sc_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key} entries must be finite and non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o_*"))
+
+
 def test_run_rejects_fractional_int_field(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["horizon"] = 50.9

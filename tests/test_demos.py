@@ -1,4 +1,4 @@
-"""Demos 01-04 run end to end, each in a fresh directory."""
+"""Demos 01-06 run end to end, each in a fresh directory."""
 
 import os
 import subprocess
@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
         ("03_tabular_q_learning.py", ("tabular_metrics.csv",)),
         ("01_popularity_dynamics.py", ()),
         ("04_scalable_q_learning.py", ()),
+        ("05_large_network.py", ()),
+        ("06_dynamic_costs.py", ()),
     ],
 )
 def test_oracle_demo_runs(tmp_path, demo, outputs):

@@ -98,11 +98,13 @@ class TestPresets:
             small_scenario(small_net, learner_config=cr.QLearnerConfig(gamma=0.5))
         with pytest.raises(ValueError):
             small_scenario(small_net, cache_size=11)
+        # each bad value fails with one message, read from a file or passed in code
         for key, bad, message in (
             ("horizon", 50.9, "must be an integer"),
             ("cache_size", 2.7, "must be an integer"),
             ("realizations", True, "must be an integer"),
             ("horizon", "50", "must be an integer"),
+            ("requests_per_slot", 2.5, "must be an integer"),
             ("gamma", "0.8", "must be a number"),
             ("learner", 5, "must be a string"),
             ("name", "a\nb", "must not contain a line break"),
@@ -112,26 +114,45 @@ class TestPresets:
             doc[key] = bad
             with pytest.raises(ValueError, match=f"{key} {message}"):
                 cr.scenario_from_json(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"{key} {message}"):
+                small_scenario(small_net, **{key: bad})
+        with pytest.raises(ValueError, match="requests_per_slot must be an integer"):
+            cr.PopularityEnv(*small_net, requests_per_slot=2.5)
         for learner, key, bad, message in (
             ("exact", "epsilon", True, "must not be a boolean"),
             ("exact", "beta", True, "must not be a boolean"),
             ("linear", "alpha_g", True, "must not be a boolean"),
             ("exact", "beta", "0.8", "must be a number"),
             ("linear", "alpha_g", "0.005", "must be a number"),
+            ("linear", "epsilon", "0.8", "must be a number"),
         ):
             doc = written_doc(cr.preset_scenario("s1", horizon=50, learner=learner))
             doc["learner_config"][key] = bad
             with pytest.raises(ValueError, match=f"{key} {message}"):
                 cr.scenario_from_json(json.dumps(doc))
-        for chain, key, row, col in (("g_chain", "states", 0, 0), ("l_chain", "transition", 1, 1)):
+            config_cls = {"exact": cr.QLearnerConfig, "linear": cr.LinearLearnerConfig}[learner]
+            with pytest.raises(ValueError, match=f"{key} {message}"):
+                config_cls(**{key: bad})
+        for chain, key, row, col, bad, message in (
+            ("g_chain", "states", 0, 0, "0.1", "must hold numbers"),
+            ("l_chain", "transition", 1, 1, "0.8", "must hold numbers"),
+            ("g_chain", "states", 1, 0, True, "must hold numbers"),
+            ("l_chain", "states", 0, 2, float("nan"), "entries must be finite"),
+            ("g_chain", "transition", 0, 0, float("nan"), "entries must be finite"),
+            ("l_chain", "transition", 0, 1, float("inf"), "entries must be finite"),
+        ):
             doc = written_doc(small_scenario(small_net))
-            doc[chain][key][row][col] = str(doc[chain][key][row][col])
-            with pytest.raises(ValueError, match=f"{key} must hold numbers"):
+            doc[chain][key][row][col] = bad
+            with pytest.raises(ValueError, match=f"{key} {message}"):
                 cr.scenario_from_json(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"{key} {message}"):
+                cr.MarkovChain(states=doc[chain]["states"], transition=doc[chain]["transition"])
         doc = written_doc(small_scenario(small_net))
         doc["lambda_schedule"][0]["lambda1"] = True
         with pytest.raises(ValueError, match="lambda1 must not be a boolean"):
             cr.scenario_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="lambda1 must not be a boolean"):
+            cr.CostParams(True, 600, 1000)
 
 
 class TestRunScenario:

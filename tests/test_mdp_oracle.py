@@ -194,7 +194,9 @@ class TestPolicyIteration:
         params = cr.PRESET_PARAMS["s1"]
         negative, too_large = np.zeros((2, small_space.n_states), dtype=int)
         negative[7], too_large[7] = -1, small_space.n_actions
-        for policy in (np.zeros(2, dtype=int), negative, too_large):
+        # a float policy is rejected, not truncated: all 0.9 would pass as action 0
+        fractional = np.full(small_space.n_states, 0.9)
+        for policy in (np.zeros(2, dtype=int), negative, too_large, fractional):
             for solve in (
                 lambda: cr.policy_iteration(small_space, 0.8, params, initial_policy=policy),
                 lambda: cr.policy_evaluation(small_space, policy, 0.8, params),

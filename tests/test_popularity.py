@@ -46,6 +46,11 @@ class TestZipfProfile:
             cr.zipf_profile(3, 1.0, ordering=(1, 2, 2))
         with pytest.raises(ValueError):
             cr.zipf_profile(0, 1.0)
+        with pytest.raises(ValueError, match="zipf exponent"):
+            cr.zipf_profile(3, float("nan"))
+        # a fractional ordering is rejected, not truncated to (1, 2, 3)
+        with pytest.raises(ValueError, match="ordering"):
+            cr.zipf_profile(3, 1.0, ordering=(1.9, 2.0, 3.0))
 
 
 class TestProfileAndChainInvariants:
@@ -54,6 +59,11 @@ class TestProfileAndChainInvariants:
             cr.PopularityProfile(np.array([0.5, -0.1, 0.6]))
         with pytest.raises(ValueError):
             cr.PopularityProfile(np.array([0.5, 0.4]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="profile entries must be finite"):
+                cr.PopularityProfile(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="profile must hold numbers"):
+            cr.PopularityProfile(np.array([True, False]))
 
     def test_profile_is_immutable(self):
         p = cr.PopularityProfile(np.array([0.5, 0.5]))
@@ -67,6 +77,9 @@ class TestProfileAndChainInvariants:
         q = cr.PopularityProfile(np.array([0.2, 0.3, 0.5]))
         with pytest.raises(ValueError):
             cr.MarkovChain(states=(p, q), transition=np.eye(2))
+        # a NaN row used to pass and always step to state 0
+        with pytest.raises(ValueError, match="transition entries must be finite"):
+            cr.MarkovChain(states=(p, p), transition=np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
     def test_chain_json_round_trip(self, small_net):
         g_chain, _ = small_net

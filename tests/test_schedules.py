@@ -14,6 +14,7 @@ from cache_rl.schedules import (
     epsilon_schedule_from_json,
     epsilon_schedule_to_json,
     VisitCountBeta,
+    validate_beta,
 )
 
 
@@ -64,18 +65,27 @@ class TestEpsilonSchedules:
         assert epsilon_schedule_from_json({"kind": "constant", "value": 1}) == ConstantEpsilon(1.0)
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "explore_then_inverse", "t_explore": float("nan")})
+        # each bad value fails with one message, read from a document or passed in code
         for bad in (5.5, True, float("inf")):
             with pytest.raises(ValueError, match="t_explore must be an integer"):
                 epsilon_schedule_from_json({"kind": "explore_then_exploit", "t_explore": bad})
+            with pytest.raises(ValueError, match="t_explore must be an integer"):
+                ExploreThenExploit(t_explore=bad)
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "bogus"})
         for bad in (True, False):
-            with pytest.raises(ValueError, match="must not be a boolean"):
+            with pytest.raises(ValueError, match="epsilon must not be a boolean"):
                 epsilon_schedule_from_json(bad)
-            with pytest.raises(ValueError, match="must not be a boolean"):
+            with pytest.raises(ValueError, match="epsilon must not be a boolean"):
+                as_epsilon_schedule(bad)
+            with pytest.raises(ValueError, match="beta must not be a boolean"):
                 beta_from_json(bad)
+            with pytest.raises(ValueError, match="beta must not be a boolean"):
+                validate_beta(bad)
             with pytest.raises(ValueError, match="value must not be a boolean"):
                 epsilon_schedule_from_json({"kind": "constant", "value": bad})
+            with pytest.raises(ValueError, match="value must not be a boolean"):
+                ConstantEpsilon(bad)
 
     def test_beta_json(self):
         assert beta_from_json(beta_to_json(0.8)) == 0.8
@@ -91,14 +101,19 @@ class TestPiecewiseCostSchedule:
             PiecewiseCostSchedule(segments=((0, p), (0, p)))
         doc = [{"start": 0, **p.to_json_dict()}, {"start": 50, **p.to_json_dict()}]
         assert PiecewiseCostSchedule.from_json(doc).segments[1][0] == 50
-        for bad in (50.9, True):
+        # each bad value fails with one message, read from a document or passed in code
+        for bad in (50.9, True, 1.5):
             doc[1]["start"] = bad
             with pytest.raises(ValueError, match="start must be an integer"):
                 PiecewiseCostSchedule.from_json(doc)
+            with pytest.raises(ValueError, match="start must be an integer"):
+                PiecewiseCostSchedule(segments=((0, p), (bad, p)))
         doc[1]["start"] = 50
         for key in ("lambda1", "lambda2", "lambda3"):
             with pytest.raises(ValueError, match=f"{key} must not be a boolean"):
                 PiecewiseCostSchedule.from_json([doc[0], {**doc[1], key: True}])
+            with pytest.raises(ValueError, match=f"{key} must not be a boolean"):
+                cr.CostParams(**{**p.to_json_dict(), key: True})
 
     def test_left_closed_boundaries(self):
         a, b = cr.CostParams(1, 0, 0), cr.CostParams(2, 0, 0)
