@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .popularity import MarkovChain, PopularityProfile, as_number
+from .popularity import MarkovChain, PopularityProfile, as_int, as_number
 
 MATERIALIZE_LIMIT = 200_000
 
@@ -67,7 +67,8 @@ class CacheAction:
     catalog_size: int
 
     def __post_init__(self) -> None:
-        files = tuple(sorted(int(x) for x in self.files))
+        files = tuple(sorted(as_int(x, "file index") for x in self.files))
+        object.__setattr__(self, "catalog_size", as_int(self.catalog_size, "catalog_size"))
         if not files:
             raise ValueError("a cache action must hold at least one file")
         if len(set(files)) != len(files):
@@ -95,12 +96,12 @@ class ActionSpace:
     """
 
     def __init__(self, f: int, m: int):
-        if m < 1:
+        self.f = as_int(f, "catalog size")
+        self.m = as_int(m, "cache capacity")
+        if self.m < 1:
             raise ValueError("cache capacity must be >= 1")
-        if m > f:
+        if self.m > self.f:
             raise ValueError("cache capacity cannot exceed the catalog size")
-        self.f = int(f)
-        self.m = int(m)
         # Unbounded Python int; use this instead of len() when C(F, M)
         # exceeds the machine index range.
         self.size = math.comb(self.f, self.m)
@@ -114,6 +115,7 @@ class ActionSpace:
 
     def action(self, index: int) -> CacheAction:
         """Lexicographic unranking via the combinatorial number system."""
+        index = as_int(index, "action index")
         if not 0 <= index < self.size:
             raise IndexError(f"action index {index} out of range")
         rem = index
@@ -196,6 +198,8 @@ class SystemState:
     action: CacheAction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "g", as_int(self.g, "g"))
+        object.__setattr__(self, "l", as_int(self.l, "l"))
         if self.g < 0 or self.l < 0:
             raise ValueError("state indices must be non-negative")
 

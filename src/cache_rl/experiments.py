@@ -29,7 +29,7 @@ from .mdp_oracle import (
     relative_q_error,
 )
 from .popularity import MarkovChain, PopularityProfile, random_chain, zipf_profile
-from .popularity import as_int, as_number
+from .popularity import as_discount, as_int
 from .q_exact import BatchExactAgent, QLearnerConfig
 from .q_linear import BatchLinearAgent, LinearLearnerConfig, LinearParams, linear_q_matrix
 from .schedules import (
@@ -144,7 +144,7 @@ class Scenario:
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         for name in ("cache_size", "horizon", "realizations", "base_seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
+        object.__setattr__(self, "gamma", as_discount(self.gamma))
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must not contain a line break")
         if self.learner not in LEARNER_KINDS:
@@ -153,8 +153,6 @@ class Scenario:
         object.__setattr__(self, "requests_per_slot", self.env().requests_per_slot)
         if not 1 <= self.cache_size <= self.g_chain.catalog_size:
             raise ValueError("cache size must lie in 1..F")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.realizations < 1:
@@ -302,7 +300,6 @@ def run_scenario(
     oracle_compare: bool = False,
     error_slots=None,
     windows: tuple[tuple[int, int], ...] = (),
-    _realization_seeds=None,
 ) -> MetricsTrace:
     """Simulate a scenario and average its metrics across realizations.
 
@@ -334,10 +331,7 @@ def run_scenario(
     else:
         error_slots = None
 
-    if _realization_seeds is not None:
-        rngs = [np.random.default_rng(s) for s in _realization_seeds]
-    else:
-        rngs = [realization_rng(scenario.base_seed, r) for r in range(scenario.realizations)]
+    rngs = [realization_rng(scenario.base_seed, r) for r in range(scenario.realizations)]
     result = run_lockstep(
         scenario.env(),
         agent,
@@ -391,7 +385,7 @@ def normalized_q_error(q_hat, q_star: np.ndarray, space: StateSpace | None = Non
 def random_baseline_action(space: ActionSpace, rng: np.random.Generator) -> int:
     """Uniform action index, drawn by M-subset sampling (no enumeration)."""
     files = np.sort(rng.choice(space.f, size=space.m, replace=False)) + 1
-    action = CacheAction(files=tuple(int(x) for x in files), catalog_size=space.f)
+    action = CacheAction(files=tuple(files), catalog_size=space.f)
     return space.index_of(action)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caching_core import ActionSpace, CostParams, SystemState, files_label, write_table
-from .popularity import MarkovChain
+from .popularity import MarkovChain, as_discount, as_int, as_ints
 
 
 class StateSpace:
@@ -46,7 +46,7 @@ class StateSpace:
         m = self.actions.m
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
-        self.refresh_counts = m - overlap
+        self.refresh_counts = np.subtract(m, overlap, out=overlap)
         # Components of every state, in index order.
         gl, self.state_actions = np.divmod(np.arange(self.n_states), self.n_actions)
         self.state_g, self.state_l = np.divmod(gl, self.n_l)
@@ -66,11 +66,13 @@ class StateSpace:
         return (g * self.n_l + l) * self.n_actions + a_idx
 
     def state_index(self, g: int, l: int, a_idx: int) -> int:
+        g, l, a_idx = as_int(g, "g"), as_int(l, "l"), as_int(a_idx, "action index")
         if not (0 <= g < self.n_g and 0 <= l < self.n_l and 0 <= a_idx < self.n_actions):
             raise ValueError("state components out of range")
         return int(self.state_indices(g, l, a_idx))
 
     def state_components(self, index: int) -> tuple[int, int, int]:
+        index = as_int(index, "state index")
         if not 0 <= index < self.n_states:
             raise ValueError(f"state index {index} out of range")
         return int(self.state_g[index]), int(self.state_l[index]), int(self.state_actions[index])
@@ -81,11 +83,14 @@ class StateSpace:
 
     def check_policy(self, policy) -> np.ndarray:
         """``policy`` as an int64 copy, if it is an integer array of one valid action per state."""
-        policy = np.asarray(policy)
-        valid = policy.dtype.kind in "iu" and policy.shape == (self.n_states,)
+        try:
+            policy = as_ints(policy, "policy")
+        except ValueError:
+            policy = None
+        valid = policy is not None and policy.shape == (self.n_states,)
         if not (valid and policy.min() >= 0 and policy.max() < self.n_actions):
             raise ValueError("policy must assign one valid action per state")
-        return policy.astype(np.int64)
+        return policy
 
     def mismatch_cost(self, params: CostParams) -> np.ndarray:
         """lambda3 * (1 - E[p_G']^T a) + lambda2 * (1 - E[p_L']^T a) per (gl, a),
@@ -99,7 +104,10 @@ class StateSpace:
 
     def q_table(self, refresh_weight: float, post: np.ndarray) -> np.ndarray:
         """refresh_weight * refresh_counts[a_prev, a] + post[gl, a], shape (|S|, |A|)."""
-        q = refresh_weight * self.refresh_counts + post[:, None, :]
+        # Filled in place, so no (|A|, |A|) or (|S|, |A|) temporary sits beside it.
+        q = np.empty((self.n_g * self.n_l, self.n_actions, self.n_actions))
+        np.multiply(refresh_weight, self.refresh_counts, out=q)
+        q += post[:, None, :]
         return q.reshape(self.n_states, self.n_actions)
 
     def expected_cost_matrix(self, params: CostParams) -> np.ndarray:
@@ -111,6 +119,7 @@ def transition_prob(space: StateSpace, s: int, a_idx: int, s_next: int) -> float
     """Probability of moving from state ``s`` to ``s_next`` under action ``a_idx``."""
     g, l, _ = space.state_components(s)
     g2, l2, a2 = space.state_components(s_next)
+    a_idx = as_int(a_idx, "action index")
     if not 0 <= a_idx < space.n_actions:
         raise ValueError("action index out of range")
     return float(space.kernel[g * space.n_l + l, g2 * space.n_l + l2]) if a2 == a_idx else 0.0
@@ -136,8 +145,7 @@ def policy_evaluation(
     gamma = 0), which bounds the truncation error by 1e-15 * max|c_pi| / (1 - gamma).
     Raises ValueError on non-finite values.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    gamma = as_discount(gamma)
     nxt, c_pi = _policy_tables(space, policy, params)
     sweeps = 1 if gamma == 0.0 else math.ceil(math.log(1e-15) / math.log(gamma))
     v = c_pi
@@ -211,15 +219,13 @@ def bellman_optimality_residual(
         raise ValueError("Q table has wrong shape")
     v = q.min(axis=1)
     target = q_from_value(space, v, gamma, params)
-    return float(np.abs(q - target).max())
+    return float(np.abs(np.subtract(q, target, out=target), out=target).max())
 
 
 def long_run_average_cost(
     space: StateSpace,
     policy: np.ndarray,
     params: CostParams,
-    initial_action_index: int = 0,
-    tol: float = 1e-13,
     max_iter: int = 200_000,
 ) -> float:
     """Long-run per-slot mean cost of a deterministic policy.
@@ -230,34 +236,33 @@ def long_run_average_cost(
     converged after ``max_iter`` steps.
 
     The start is the simulator's (uniform over chain states, cache = action
-    ``initial_action_index``), so the value is what a rollout measures. It
-    matters when the policy's chain has several closed classes: preset s2's
-    optimal policy on the small network has 9, and its cost from one start
-    cache ranges from 591.84 to 697.05 over the 45 caches.
+    0, files 1..M), so the value is what a rollout measures. It matters when
+    the policy's chain has several closed classes: preset s2's optimal policy
+    on the small network has 9, and its cost from one start cache ranges from
+    591.84 to 697.05 over the 45 caches.
     """
     nxt, c_pi = _policy_tables(space, policy, params)
     n_gl, n_a = nxt.shape
-    if not 0 <= initial_action_index < n_a:
-        raise ValueError(f"initial action index {initial_action_index} out of range")
     dist = np.zeros((n_gl, n_a))
-    dist[:, initial_action_index] = 1.0 / n_gl
+    dist[:, 0] = 1.0 / n_gl
     for _ in range(max_iter):
         moved = np.bincount(nxt.ravel(), weights=dist.ravel(), minlength=space.n_states)
         dist, prev = 0.5 * (dist + space.kernel.T @ moved.reshape(n_gl, n_a)), dist
-        if np.abs(dist - prev).sum() < tol:
+        if np.abs(dist - prev).sum() < 1e-13:
             return float(dist.ravel() @ c_pi.ravel())
     raise RuntimeError(
-        f"limiting distribution did not converge to tol {tol:g} in {max_iter} iterations"
+        f"limiting distribution did not converge to tol 1e-13 in {max_iter} iterations"
     )
 
 
-def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
-    """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table."""
+def relative_q_error(q: np.ndarray, q_star: np.ndarray, star_norm=None) -> float:
+    """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table
+    (``star_norm``: ||Q*||_F, when the caller holds it already)."""
     q = np.asarray(q, dtype=np.float64)
     q_star = np.asarray(q_star, dtype=np.float64)
     if q.shape != q_star.shape:
         raise ValueError("Q tables must have identical shapes")
-    denom = float(np.linalg.norm(q_star))
+    denom = float(np.linalg.norm(q_star)) if star_norm is None else star_norm
     if denom == 0.0:
         raise ValueError("reference Q table has zero norm")
     return float(np.linalg.norm(q - q_star) / denom)
@@ -266,7 +271,7 @@ def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
 def export_policy_csv(space: StateSpace, policy: np.ndarray, values: np.ndarray, path) -> None:
     """Write per-state optimal actions and values (1-based file lists)."""
     labels = [files_label(files) for files in space.action_files.tolist()]
-    policy = [int(a) for a in policy]
+    policy = space.check_policy(policy).tolist()
     write_table(
         path,
         ["state_index", "g_state", "l_state", "cached_files", "action_index", "action_files", "value"],

@@ -14,11 +14,12 @@ All types are immutable after construction; every randomized operation takes
 an explicit caller-owned numpy Generator so parallel simulations can use
 independent streams.
 
-The package's constructors check their inputs with three rules kept here,
-so a value from code and one from a scenario file fail with one message:
-:func:`as_int` (a whole number; a bool, a string or a fraction fails),
-:func:`as_number` (a real number, not a bool) and :func:`as_probabilities`
-(finite, non-negative rows each summing to 1 within ``PROB_TOL``).
+The package checks its inputs with the rules kept here, so a value from
+code and one from a scenario file fail with one message: :func:`as_int` and
+its array form :func:`as_ints`, the only definition of an integer (whole and
+finite; a bool, a string or a fraction fails), :func:`as_number` (a real
+number, not a bool), :func:`as_discount` (gamma in [0, 1)) and
+:func:`as_probabilities` (finite, non-negative rows summing to 1 within ``PROB_TOL``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ def as_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_ints(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array: an integer-dtype ndarray passes on its dtype,
+    anything else goes through :func:`as_int` element by element (``True`` fails)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64)
+    values = np.asarray(values, dtype=object)
+    return np.array([as_int(x, name) for x in values.flat], dtype=np.int64).reshape(values.shape)
+
+
 def as_number(value, name: str) -> float:
     """``value`` as a float; a bool or a non-number raises ``ValueError``."""
     if isinstance(value, bool):
@@ -47,6 +57,14 @@ def as_number(value, name: str) -> float:
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_discount(value) -> float:
+    """``value`` as a discount factor gamma, a number in [0, 1)."""
+    gamma = as_number(value, "gamma")
+    if not 0.0 <= gamma < 1.0:  # NaN fails too
+        raise ValueError("gamma must lie in [0, 1)")
+    return gamma
 
 
 def as_probabilities(values, name: str) -> np.ndarray:
@@ -161,15 +179,9 @@ class RequestBatch:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
+        counts = as_ints(self.counts, "counts")
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a non-empty 1-D vector")
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if np.any(rounded != counts):
-                raise ValueError("counts must be integers")
-            counts = rounded
-        counts = counts.astype(np.int64)
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", _readonly(counts))
@@ -194,8 +206,8 @@ def zipf_profile(f: int, eta: float, ordering=None) -> PopularityProfile:
     if not eta >= 0:  # NaN fails too
         raise ValueError("zipf exponent must be >= 0")
     ids = np.arange(1, f + 1)
-    ordering = ids if ordering is None else np.asarray(ordering)
-    if ordering.dtype.kind not in "iu" or not np.array_equal(np.sort(ordering), ids):
+    ordering = ids if ordering is None else as_ints(ordering, "ordering")
+    if not np.array_equal(np.sort(ordering), ids):
         raise ValueError("ordering must be a permutation of 1..F")
     ranks = np.arange(1, f + 1, dtype=np.float64)
     weights = ranks ** -eta
@@ -217,6 +229,7 @@ def next_states(cum_rows: np.ndarray, u) -> np.ndarray:
 
 def step_chain(chain: MarkovChain, current: int, rng: np.random.Generator) -> int:
     """Draw the next state index given the current one."""
+    current = as_int(current, "state index")
     if not 0 <= current < chain.n_states:
         raise ValueError(f"state index {current} out of range")
     return int(next_states(np.cumsum(chain.transition[current]), rng.random()))
@@ -224,6 +237,7 @@ def step_chain(chain: MarkovChain, current: int, rng: np.random.Generator) -> in
 
 def sample_requests(profile: PopularityProfile, n: int, rng: np.random.Generator) -> RequestBatch:
     """Aggregate ``n`` i.i.d. categorical file requests into per-file counts."""
+    n = as_int(n, "request count")
     if n < 1:
         raise ValueError("request count must be >= 1")
     counts = rng.multinomial(n, profile.probs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_oracle import StateSpace, relative_q_error
-from .popularity import as_number
+from .popularity import as_discount
 from .schedules import (
     EpsilonSchedule,
     VisitCountBeta,
@@ -33,9 +33,7 @@ class QLearnerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", validate_beta(self.beta))
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
-        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        object.__setattr__(self, "gamma", as_discount(self.gamma))
 
 
 class ExactQLearner:
@@ -91,11 +89,11 @@ class BatchExactAgent:
         self._visits: np.ndarray | None = None
         self._per_visit = isinstance(config.beta, VisitCountBeta)
         self._a_idx: np.ndarray | None = None
-        self._qstar: np.ndarray | None = None
+        self._err_ref: tuple[np.ndarray, float] | None = None
         self._eps: np.ndarray | None = None
         self._u: np.ndarray | None = None
         self._explore_a: np.ndarray | None = None
-        self._last_beta = 0.0
+        self._beta = 0.0
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def begin(self, n_realizations: int) -> None:
@@ -139,21 +137,22 @@ class BatchExactAgent:
         self.q[self._r, s_prev, a] = (1.0 - beta) * old + beta * (
             cost + self.config.gamma * q_min_next
         )
-        self._last_beta = float(np.asarray(beta).ravel()[0])
+        self._beta = beta
         self._a_idx = a
 
     def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
         """Reference Q table over ``space``, the space the agent learns on."""
-        self._qstar = qstar
+        self._err_ref = (qstar, float(np.linalg.norm(qstar)))
 
     def normalized_error(self) -> np.ndarray:
-        return np.array([relative_q_error(q, self._qstar) for q in self.q])
+        qstar, norm = self._err_ref
+        return np.array([relative_q_error(q, qstar, norm) for q in self.q])
 
     def trace_epsilon(self, j) -> float:
         return float(self._eps[j])
 
     def trace_beta(self, j) -> float:
-        return self._last_beta
+        return float(np.asarray(self._beta).ravel()[0])
 
 
 @dataclass

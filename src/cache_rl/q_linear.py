@@ -24,7 +24,7 @@ import numpy as np
 
 from .caching_core import CacheAction, SystemState, files_mask, write_table
 from .mdp_oracle import StateSpace, relative_q_error
-from .popularity import as_number
+from .popularity import as_discount, as_number
 from .schedules import (
     EpsilonSchedule,
     PiecewiseCostSchedule,
@@ -55,9 +55,7 @@ class LinearLearnerConfig:
                 raise ValueError(f"{name} must be finite and > 0")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
-        object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+        object.__setattr__(self, "gamma", as_discount(self.gamma))
 
 
 @dataclass
@@ -206,7 +204,7 @@ class BatchLinearAgent:
         self._u: np.ndarray | None = None
         self._ts: np.ndarray | None = None
         self._pending = None
-        self._err_ref: tuple[np.ndarray, StateSpace] | None = None
+        self._err_ref: tuple[np.ndarray, float, StateSpace] | None = None
 
     def begin(self, n_realizations: int) -> None:
         self.theta_g = np.zeros((n_realizations, self.n_g, self.f))
@@ -264,12 +262,12 @@ class BatchLinearAgent:
 
     def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
         """Reference Q table over ``space``, a state space of this network."""
-        self._err_ref = (qstar, space)
+        self._err_ref = (qstar, float(np.linalg.norm(qstar)), space)
 
     def normalized_error(self) -> np.ndarray:
-        qstar, space = self._err_ref
+        qstar, norm, space = self._err_ref
         thetas = zip(self.theta_g, self.theta_l, self.theta_r)
-        return np.array([relative_q_error(_q_table(*theta, space), qstar) for theta in thetas])
+        return np.array([relative_q_error(_q_table(*t, space), qstar, norm) for t in thetas])
 
     def trace_epsilon(self, j) -> float:
         return float(self._eps[j])

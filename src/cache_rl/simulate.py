@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching_core import files_label, files_mask, write_table
-from .popularity import MarkovChain, as_int, nearest_states, next_states
+from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
 CHUNK = 2048
@@ -142,6 +142,7 @@ def run_lockstep(
     outcome. ``normalized_error()`` -> (R,) is needed with ``error_slots``,
     and ``trace_epsilon(j)`` and ``trace_beta(j)`` only with ``collect_trace``.
     """
+    horizon = as_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n_real = len(rngs)
@@ -168,7 +169,7 @@ def run_lockstep(
     cost_mean = np.empty(horizon)
     cost_sqmean = np.empty(horizon)
     hit_mean = np.empty(horizon)
-    windows = tuple((int(a), int(b)) for a, b in windows)
+    windows = tuple((as_int(a, "window start"), as_int(b, "window stop")) for a, b in windows)
     for a, b in windows:
         if not 0 <= a < b <= horizon:
             raise ValueError(f"window ({a}, {b}) does not fit in [0, {horizon})")
@@ -178,7 +179,7 @@ def run_lockstep(
     err_values: list[float] = []
     err_ptr = 0
     if error_slots is not None:
-        err_slots = np.unique(np.asarray(list(error_slots), dtype=np.int64))
+        err_slots = np.unique(as_ints(list(error_slots), "error slot"))
         if err_slots.size and (err_slots[0] < 0 or err_slots[-1] >= horizon):
             raise ValueError("error snapshot slots must lie in [0, horizon)")
 

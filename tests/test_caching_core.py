@@ -234,3 +234,71 @@ class TestExpectedCost:
                 prev, a, g_chain.states[g2], l_chain.states[l2], params
             )
         assert abs(total / n - expected) / expected < 0.01
+
+
+# One integer rule (popularity.as_int / as_ints) for every size, index and
+# file id: a fraction or a bool raises ValueError naming the field, where it
+# used to be truncated, accepted, or fail inside numpy.
+INTEGER_HOLES = {
+    "ActionSpace-fractional-m": (lambda sp, sc: cr.ActionSpace(10, 2.5), "cache capacity"),
+    "ActionSpace-fractional-f": (lambda sp, sc: cr.ActionSpace(10.7, 2), "catalog size"),
+    "ActionSpace-bool-m": (lambda sp, sc: cr.ActionSpace(10, True), "cache capacity"),
+    "StateSpace-fractional-M": (
+        lambda sp, sc: cr.StateSpace(sp.g_chain, sp.l_chain, 2.5), "cache capacity"
+    ),
+    "CacheAction-files": (lambda sp, sc: cr.CacheAction((1.9, 2.5), 3), "file index"),
+    "CacheAction-catalog": (lambda sp, sc: cr.CacheAction((1, 2), 2.5), "catalog_size"),
+    "SystemState-g": (lambda sp, sc: cr.SystemState(0.5, 0, action((1, 2))), "g"),
+    "SystemState-l": (lambda sp, sc: cr.SystemState(0, 1.5, action((1, 2))), "l"),
+    "state_index": (lambda sp, sc: sp.state_index(0, 1, 2.5), "action index"),
+    "state_components": (lambda sp, sc: sp.state_components(1.5), "state index"),
+    "ActionSpace.action": (lambda sp, sc: sp.actions.action(1.5), "action index"),
+    "transition_prob-action": (lambda sp, sc: cr.transition_prob(sp, 0, 0.5, 0), "action index"),
+    "run_scenario-windows": (
+        lambda sp, sc: cr.run_scenario(sc, windows=((0.5, 10.7),)), "window start"
+    ),
+    "run_scenario-error_slots": (
+        lambda sp, sc: cr.run_scenario(sc, oracle_compare=True, error_slots=[2.7, 10.2]),
+        "error slot",
+    ),
+    "run_lockstep-horizon": (
+        lambda sp, sc: cr.simulate.run_lockstep(
+            sc.env(),
+            cr.simulate.RandomBaselineAgent(10, 2),
+            sc.lambda_schedule,
+            5.5,
+            [np.random.default_rng(0)],
+        ),
+        "horizon",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def short_s1():
+    return cr.preset_scenario("s1", horizon=20, realizations=1)
+
+
+@pytest.mark.parametrize("case", INTEGER_HOLES)
+def test_non_integer_raises_naming_its_field(case, small_space, short_s1):
+    build, field = INTEGER_HOLES[case]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        build(small_space, short_s1)
+
+
+def test_whole_floats_convert_like_ints(small_space):
+    space = cr.ActionSpace(10.0, 2.0)
+    assert (space.f, space.m, space.size) == (10, 2, 45)
+    assert type(space.f) is int and type(space.m) is int
+    assert cr.CacheAction((3.0, 1.0), 10.0) == action((1, 3))
+    assert cr.SystemState(1.0, 0.0, action((1, 2))) == cr.SystemState(1, 0, action((1, 2)))
+    assert small_space.state_index(1.0, 0.0, 3.0) == small_space.state_index(1, 0, 3)
+    assert small_space.state_components(47.0) == small_space.state_components(47)
+    assert small_space.actions.action(3.0) == small_space.actions.action(3)
+    assert cr.transition_prob(small_space, 0, 0.0, 0) == cr.transition_prob(small_space, 0, 0, 0)
+    assert cr.transition_prob(small_space, 0, 0, 0) == pytest.approx(0.48)
+    # a whole-float policy is the int policy; a fractional one is still rejected
+    float_policy = np.zeros(small_space.n_states)
+    checked = small_space.check_policy(float_policy)
+    assert checked.dtype == np.int64
+    np.testing.assert_array_equal(checked, small_space.check_policy(float_policy.astype(int)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
+from cache_rl.q_exact import BatchExactAgent
 from cache_rl.q_linear import LinearParams
 from cache_rl.simulate import realization_rng
 
@@ -156,14 +157,15 @@ class TestPresets:
 
 
 class TestRunScenario:
-    def test_identical_seeds_average_equals_single(self, small_net):
-        sc = small_scenario(small_net, horizon=800, realizations=3)
-        seeds = [np.random.SeedSequence(4, spawn_key=(0,))] * 3
-        avg = cr.run_scenario(sc, _realization_seeds=seeds)
-        single = cr.run_scenario(
-            cr.scenario_with(sc, realizations=1),
-            _realization_seeds=[np.random.SeedSequence(4, spawn_key=(0,))],
-        )
+    def test_identical_seeds_average_equals_single(self, small_net, small_space):
+        sc = small_scenario(small_net, horizon=800)
+
+        def run(n_rngs):
+            agent = BatchExactAgent(small_space, sc.learner_config)
+            rngs = [realization_rng(4, 0) for _ in range(n_rngs)]
+            return cr.simulate.run_lockstep(sc.env(), agent, sc.lambda_schedule, sc.horizon, rngs)
+
+        avg, single = run(3), run(1)
         # identical trajectories; the mean of three equal doubles can differ
         # from the value by an ulp, hence the tight relative tolerance
         np.testing.assert_allclose(avg.avg_cost, single.avg_cost, rtol=1e-12)

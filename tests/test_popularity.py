@@ -230,3 +230,44 @@ class TestRandomChain:
         np.testing.assert_array_equal(a.transition, b.transition)
         for x, y in zip(a.states, b.states):
             np.testing.assert_array_equal(x.probs, y.probs)
+
+
+# One integer rule (popularity.as_int / as_ints) for counts, orderings and
+# state indices: a fraction or a bool raises ValueError naming the field.
+INTEGER_HOLES = {
+    "sample_requests-n": (
+        lambda chain: cr.sample_requests(chain.states[0], 2.5, np.random.default_rng(0)),
+        "request count",
+    ),
+    "RequestBatch-bool": (lambda chain: cr.RequestBatch([True, 2]), "counts"),
+    "RequestBatch-fraction": (lambda chain: cr.RequestBatch([1.5, 2.0]), "counts"),
+    "zipf_profile-bool-ordering": (lambda chain: cr.zipf_profile(3, 1.0, (True, 2, 3)), "ordering"),
+    "step_chain-state": (
+        lambda chain: cr.step_chain(chain, 0.5, np.random.default_rng(0)), "state index"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_HOLES)
+def test_non_integer_raises_naming_its_field(case, small_net):
+    build, field = INTEGER_HOLES[case]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        build(small_net[0])
+
+
+def test_whole_floats_convert_like_ints(small_net):
+    g_chain, _ = small_net
+    batch = cr.RequestBatch([1.0, 2.0])
+    assert batch.counts.dtype == np.int64
+    np.testing.assert_array_equal(batch.counts, cr.RequestBatch([1, 2]).counts)
+    p = g_chain.states[0]
+    np.testing.assert_array_equal(
+        cr.sample_requests(p, 7.0, np.random.default_rng(0)).counts,
+        cr.sample_requests(p, 7, np.random.default_rng(0)).counts,
+    )
+    np.testing.assert_array_equal(
+        cr.zipf_profile(3, 1.0, (3.0, 1.0, 2.0)).probs, cr.zipf_profile(3, 1.0, (3, 1, 2)).probs
+    )
+    assert cr.step_chain(g_chain, 1.0, np.random.default_rng(0)) == cr.step_chain(
+        g_chain, 1, np.random.default_rng(0)
+    )
