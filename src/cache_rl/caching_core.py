@@ -67,14 +67,12 @@ class CacheAction:
     catalog_size: int
 
     def __post_init__(self) -> None:
-        files = tuple(sorted(as_int(x, "file index") for x in self.files))
         object.__setattr__(self, "catalog_size", as_int(self.catalog_size, "catalog_size"))
+        files = tuple(sorted(as_int(x, "file index", 1, self.catalog_size + 1) for x in self.files))
         if not files:
             raise ValueError("a cache action must hold at least one file")
         if len(set(files)) != len(files):
             raise ValueError("cached files must be distinct")
-        if files[0] < 1 or files[-1] > self.catalog_size:
-            raise ValueError("file indices must lie in 1..F")
         object.__setattr__(self, "files", files)
 
     @property
@@ -97,11 +95,7 @@ class ActionSpace:
 
     def __init__(self, f: int, m: int):
         self.f = as_int(f, "catalog size")
-        self.m = as_int(m, "cache capacity")
-        if self.m < 1:
-            raise ValueError("cache capacity must be >= 1")
-        if self.m > self.f:
-            raise ValueError("cache capacity cannot exceed the catalog size")
+        self.m = as_int(m, "cache capacity", 1, self.f + 1)
         # Unbounded Python int; use this instead of len() when C(F, M)
         # exceeds the machine index range.
         self.size = math.comb(self.f, self.m)
@@ -115,10 +109,7 @@ class ActionSpace:
 
     def action(self, index: int) -> CacheAction:
         """Lexicographic unranking via the combinatorial number system."""
-        index = as_int(index, "action index")
-        if not 0 <= index < self.size:
-            raise IndexError(f"action index {index} out of range")
-        rem = index
+        rem = as_int(index, "action index", 0, self.size)
         files = []
         c = 0
         for i in range(self.m):
@@ -198,10 +189,8 @@ class SystemState:
     action: CacheAction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g", as_int(self.g, "g"))
-        object.__setattr__(self, "l", as_int(self.l, "l"))
-        if self.g < 0 or self.l < 0:
-            raise ValueError("state indices must be non-negative")
+        object.__setattr__(self, "g", as_int(self.g, "g", 0))
+        object.__setattr__(self, "l", as_int(self.l, "l", 0))
 
 
 def refresh_cost(a_new: CacheAction, a_prev: CacheAction, lambda1: float) -> float:
@@ -243,12 +232,10 @@ def expected_cost(
     params: CostParams,
 ) -> float:
     """Mean slot cost under the one-step-ahead profile distributions."""
-    if not 0 <= prev.g < g_chain.n_states:
-        raise ValueError("global state index out of range")
-    if not 0 <= prev.l < l_chain.n_states:
-        raise ValueError("local state index out of range")
-    exp_g = g_chain.transition[prev.g] @ g_chain.profile_matrix()
-    exp_l = l_chain.transition[prev.l] @ l_chain.profile_matrix()
+    g = as_int(prev.g, "g", 0, g_chain.n_states)
+    l = as_int(prev.l, "l", 0, l_chain.n_states)
+    exp_g = g_chain.transition[g] @ g_chain.profile_matrix()
+    exp_l = l_chain.transition[l] @ l_chain.profile_matrix()
     idx = np.array(action.files) - 1
     return (
         refresh_cost(action, prev.action, params.lambda1)

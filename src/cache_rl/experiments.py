@@ -45,6 +45,7 @@ from .simulate import (
     RandomBaselineAgent,
     realization_rng,
     run_lockstep,
+    uniform_subsets,
 )
 
 LEARNER_KINDS = ("exact", "linear", "oracle-policy", "random-baseline")
@@ -142,8 +143,14 @@ class Scenario:
         for name in ("name", "learner", "request_mode"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("cache_size", "horizon", "realizations", "base_seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        bounds = {
+            "cache_size": (1, self.g_chain.catalog_size + 1),
+            "horizon": (1, None),
+            "realizations": (1, None),
+            "base_seed": (0, None),
+        }
+        for name, (lo, hi) in bounds.items():
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo, hi))
         object.__setattr__(self, "gamma", as_discount(self.gamma))
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must not contain a line break")
@@ -151,12 +158,6 @@ class Scenario:
             raise ValueError(f"learner must be one of {LEARNER_KINDS}")
         # the environment checks the chain pair, request_mode and requests_per_slot
         object.__setattr__(self, "requests_per_slot", self.env().requests_per_slot)
-        if not 1 <= self.cache_size <= self.g_chain.catalog_size:
-            raise ValueError("cache size must lie in 1..F")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
         object.__setattr__(self, "lambda_schedule", as_cost_schedule(self.lambda_schedule))
         config_cls = LEARNER_CONFIGS.get(self.learner)
         if config_cls is not None and not isinstance(self.learner_config, config_cls):
@@ -306,8 +307,12 @@ def run_scenario(
     With ``oracle_compare`` the optimal policy is solved first (constant
     cost weights only); the trace then carries the oracle's long-run
     average cost and, for the learners, normalized Q-error snapshots taken
-    at ``error_slots`` (default: about 200 evenly spaced slots).
+    at ``error_slots`` (default: about 200 evenly spaced slots). Giving
+    ``error_slots`` to a run that tracks no Q error raises ``ValueError``.
     """
+    track_error = oracle_compare and scenario.learner in ("exact", "linear")
+    if error_slots is not None and not track_error:
+        raise ValueError("error_slots needs oracle_compare and a learning agent")
     needs_oracle = oracle_compare or scenario.learner == "oracle-policy"
     oracle = None
     space = None
@@ -320,7 +325,6 @@ def run_scenario(
         oracle = policy_iteration(space, scenario.gamma, params)
     agent = _build_agent(scenario, oracle, space)
 
-    track_error = oracle_compare and scenario.learner in ("exact", "linear")
     if track_error:
         if error_slots is None:
             stride = max(1, scenario.horizon // 200)
@@ -328,8 +332,6 @@ def run_scenario(
             if error_slots[-1] != scenario.horizon - 1:
                 error_slots.append(scenario.horizon - 1)
         agent.set_error_reference(oracle.q, space)
-    else:
-        error_slots = None
 
     rngs = [realization_rng(scenario.base_seed, r) for r in range(scenario.realizations)]
     result = run_lockstep(
@@ -383,8 +385,8 @@ def normalized_q_error(q_hat, q_star: np.ndarray, space: StateSpace | None = Non
 
 
 def random_baseline_action(space: ActionSpace, rng: np.random.Generator) -> int:
-    """Uniform action index, drawn by M-subset sampling (no enumeration)."""
-    files = np.sort(rng.choice(space.f, size=space.m, replace=False)) + 1
+    """Uniform action index, drawn by the engine's M-subset rule (no enumeration)."""
+    files = np.sort(uniform_subsets(rng.random(space.f), space.m)) + 1
     action = CacheAction(files=tuple(files), catalog_size=space.f)
     return space.index_of(action)
 

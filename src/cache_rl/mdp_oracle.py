@@ -36,13 +36,14 @@ class StateSpace:
         self.g_chain = g_chain
         self.l_chain = l_chain
         self.actions = ActionSpace(g_chain.catalog_size, cache_size)
-        self.n_g = g_chain.n_states
-        self.n_l = l_chain.n_states
-        self.n_actions = len(self.actions)
-        self.n_states = self.n_g * self.n_l * self.n_actions
-        # Materialized action tables; this also rejects oversized spaces.
+        # Materialized action tables, first: this rejects a space whose C(F, M)
+        # is too large to count with len().
         self.action_files = self.actions.files_array()
         self.action_masks = self.actions.mask_matrix()
+        self.n_g = g_chain.n_states
+        self.n_l = l_chain.n_states
+        self.n_actions = len(self.action_files)
+        self.n_states = self.n_g * self.n_l * self.n_actions
         m = self.actions.m
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
@@ -66,15 +67,12 @@ class StateSpace:
         return (g * self.n_l + l) * self.n_actions + a_idx
 
     def state_index(self, g: int, l: int, a_idx: int) -> int:
-        g, l, a_idx = as_int(g, "g"), as_int(l, "l"), as_int(a_idx, "action index")
-        if not (0 <= g < self.n_g and 0 <= l < self.n_l and 0 <= a_idx < self.n_actions):
-            raise ValueError("state components out of range")
+        g, l = as_int(g, "g", 0, self.n_g), as_int(l, "l", 0, self.n_l)
+        a_idx = as_int(a_idx, "action index", 0, self.n_actions)
         return int(self.state_indices(g, l, a_idx))
 
     def state_components(self, index: int) -> tuple[int, int, int]:
-        index = as_int(index, "state index")
-        if not 0 <= index < self.n_states:
-            raise ValueError(f"state index {index} out of range")
+        index = as_int(index, "state index", 0, self.n_states)
         return int(self.state_g[index]), int(self.state_l[index]), int(self.state_actions[index])
 
     def system_state(self, index: int) -> SystemState:
@@ -84,11 +82,10 @@ class StateSpace:
     def check_policy(self, policy) -> np.ndarray:
         """``policy`` as an int64 copy, if it is an integer array of one valid action per state."""
         try:
-            policy = as_ints(policy, "policy")
+            policy = as_ints(policy, "policy", 0, self.n_actions)
         except ValueError:
             policy = None
-        valid = policy is not None and policy.shape == (self.n_states,)
-        if not (valid and policy.min() >= 0 and policy.max() < self.n_actions):
+        if policy is None or policy.shape != (self.n_states,):
             raise ValueError("policy must assign one valid action per state")
         return policy
 
@@ -119,9 +116,7 @@ def transition_prob(space: StateSpace, s: int, a_idx: int, s_next: int) -> float
     """Probability of moving from state ``s`` to ``s_next`` under action ``a_idx``."""
     g, l, _ = space.state_components(s)
     g2, l2, a2 = space.state_components(s_next)
-    a_idx = as_int(a_idx, "action index")
-    if not 0 <= a_idx < space.n_actions:
-        raise ValueError("action index out of range")
+    a_idx = as_int(a_idx, "action index", 0, space.n_actions)
     return float(space.kernel[g * space.n_l + l, g2 * space.n_l + l2]) if a2 == a_idx else 0.0
 
 

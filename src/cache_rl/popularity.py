@@ -17,9 +17,11 @@ independent streams.
 The package checks its inputs with the rules kept here, so a value from
 code and one from a scenario file fail with one message: :func:`as_int` and
 its array form :func:`as_ints`, the only definition of an integer (whole and
-finite; a bool, a string or a fraction fails), :func:`as_number` (a real
-number, not a bool), :func:`as_discount` (gamma in [0, 1)) and
-:func:`as_probabilities` (finite, non-negative rows summing to 1 within ``PROB_TOL``).
+finite; a bool, a string or a fraction fails) and the only integer range
+check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
+left as None is open), :func:`as_number` (a real number, not a bool),
+:func:`as_discount` (gamma in [0, 1)) and :func:`as_probabilities` (finite,
+non-negative rows summing to 1 within ``PROB_TOL``).
 """
 
 from __future__ import annotations
@@ -33,21 +35,33 @@ import numpy as np
 PROB_TOL = 1e-9
 
 
-def as_int(value, name: str) -> int:
-    """``value`` as an int; an integral float converts, non-finite values fail."""
+def as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int in ``[lo, hi)``, a bound left as None being open; an
+    integral float converts, non-finite values fail. The comparison is on Python
+    ints, so a bound such as C(F, M) may exceed int64."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
+            value = int(value)
+            if (lo is not None and value < lo) or (hi is not None and value >= hi):
+                bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi})"
+                raise ValueError(f"{name} must {bound}, got {value}")
+            return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def as_ints(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array: an integer-dtype ndarray passes on its dtype,
-    anything else goes through :func:`as_int` element by element (``True`` fails)."""
+def as_ints(values, name: str, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """``values`` as an int64 array with every entry in ``[lo, hi)``: an integer-dtype
+    ndarray passes on its dtype, anything else goes through :func:`as_int` element
+    by element (``True`` fails)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values.astype(np.int64)
-    values = np.asarray(values, dtype=object)
-    return np.array([as_int(x, name) for x in values.flat], dtype=np.int64).reshape(values.shape)
+        values = values.astype(np.int64)
+    else:
+        objs = np.asarray(values, dtype=object)
+        values = np.array([as_int(x, name) for x in objs.flat], dtype=np.int64).reshape(objs.shape)
+    if values.size:
+        as_int(int(values.min()), name, lo, hi)
+        as_int(int(values.max()), name, lo, hi)
+    return values
 
 
 def as_number(value, name: str) -> float:
@@ -179,11 +193,9 @@ class RequestBatch:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = as_ints(self.counts, "counts")
+        counts = as_ints(self.counts, "counts", 0)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a non-empty 1-D vector")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", _readonly(counts))
 
     @property
@@ -199,10 +211,8 @@ def zipf_profile(f: int, eta: float, ordering=None) -> PopularityProfile:
     default file 1 is rank 1, file 2 is rank 2, and so on. eta = 0 spreads
     mass uniformly; larger eta concentrates it on the top-ranked files.
     """
-    f = as_int(f, "catalog size")
+    f = as_int(f, "catalog size", 1)
     eta = as_number(eta, "zipf exponent")
-    if f < 1:
-        raise ValueError("catalog size must be >= 1")
     if not eta >= 0:  # NaN fails too
         raise ValueError("zipf exponent must be >= 0")
     ids = np.arange(1, f + 1)
@@ -229,17 +239,13 @@ def next_states(cum_rows: np.ndarray, u) -> np.ndarray:
 
 def step_chain(chain: MarkovChain, current: int, rng: np.random.Generator) -> int:
     """Draw the next state index given the current one."""
-    current = as_int(current, "state index")
-    if not 0 <= current < chain.n_states:
-        raise ValueError(f"state index {current} out of range")
+    current = as_int(current, "state index", 0, chain.n_states)
     return int(next_states(np.cumsum(chain.transition[current]), rng.random()))
 
 
 def sample_requests(profile: PopularityProfile, n: int, rng: np.random.Generator) -> RequestBatch:
     """Aggregate ``n`` i.i.d. categorical file requests into per-file counts."""
-    n = as_int(n, "request count")
-    if n < 1:
-        raise ValueError("request count must be >= 1")
+    n = as_int(n, "request count", 1)
     counts = rng.multinomial(n, profile.probs)
     return RequestBatch(counts)
 
@@ -289,8 +295,7 @@ def random_chain(
     profile with exponent uniform over ``eta_range`` and an independent
     random ordering of the files.
     """
-    if n_states < 1:
-        raise ValueError("need at least one state")
+    n_states, f = as_int(n_states, "n_states", 1), as_int(f, "catalog size", 1)
     transition = rng.dirichlet(np.ones(n_states), size=n_states)
     states = []
     for _ in range(n_states):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_oracle import StateSpace, relative_q_error
-from .popularity import as_discount
+from .popularity import as_discount, as_int
 from .schedules import (
     EpsilonSchedule,
     VisitCountBeta,
@@ -47,8 +47,7 @@ class ExactQLearner:
 
     def epsilon_greedy_action(self, s: int, epsilon: float, rng: np.random.Generator) -> int:
         """Greedy action w.p. 1-epsilon (ties to lowest index), else uniform."""
-        if not 0 <= s < self.space.n_states:
-            raise ValueError(f"state index {s} out of range")
+        s = as_int(s, "state index", 0, self.space.n_states)
         if rng.random() < epsilon:
             return int(rng.integers(self.space.n_actions))
         return int(np.argmin(self.q[s]))
@@ -65,6 +64,9 @@ class ExactQLearner:
 
         Only the visited entry changes. Returns its new value.
         """
+        s_prev = as_int(s_prev, "state index", 0, self.space.n_states)
+        a = as_int(a, "action index", 0, self.space.n_actions)
+        s_next = as_int(s_next, "next state index", 0, self.space.n_states)
         if not np.isfinite(cost):
             raise ValueError("cost must be finite")
         if beta is None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .caching_core import CacheAction, SystemState, files_mask, write_table
 from .mdp_oracle import StateSpace, relative_q_error
-from .popularity import as_discount, as_number
+from .popularity import as_discount, as_int, as_number
 from .schedules import (
     EpsilonSchedule,
     PiecewiseCostSchedule,
@@ -113,9 +113,9 @@ def psi(params: LinearParams, state: SystemState) -> np.ndarray:
     f = params.catalog_size
     if state.action.catalog_size != f:
         raise ValueError("state action catalog does not match the parameters")
-    if state.g >= params.theta_g.shape[0] or state.l >= params.theta_l.shape[0]:
-        raise ValueError("state indices out of range for the parameters")
-    return params.theta_g[state.g] + params.theta_l[state.l] + params.theta_r * state.action.as_mask()
+    g = as_int(state.g, "g", 0, params.theta_g.shape[0])
+    l = as_int(state.l, "l", 0, params.theta_l.shape[0])
+    return params.theta_g[g] + params.theta_l[l] + params.theta_r * state.action.as_mask()
 
 
 def q_hat(params: LinearParams, state: SystemState, a_next: CacheAction) -> float:
@@ -133,8 +133,7 @@ def greedy_top_m(params: LinearParams, state: SystemState, m: int) -> CacheActio
     sort instead of a search.
     """
     f = params.catalog_size
-    if m > f:
-        raise ValueError("cache capacity cannot exceed the catalog size")
+    m = as_int(m, "cache capacity", 1, f + 1)
     scores = psi(params, state)
     order = np.argsort(-scores, kind="stable")
     return CacheAction(files=tuple(int(x) + 1 for x in order[:m]), catalog_size=f)

@@ -15,8 +15,15 @@ from .caching_core import CostParams
 from .popularity import as_int, as_number
 
 
+class _EpsilonRule:
+    """``epsilon_at`` for a schedule whose rule is its ``epsilon_array``."""
+
+    def epsilon_at(self, t: int) -> float:
+        return float(self.epsilon_array(np.array([t]))[0])
+
+
 @dataclass(frozen=True)
-class ConstantEpsilon:
+class ConstantEpsilon(_EpsilonRule):
     value: float = 0.05
 
     def __post_init__(self) -> None:
@@ -24,33 +31,24 @@ class ConstantEpsilon:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
 
-    def epsilon_at(self, t: int) -> float:
-        return self.value
-
     def epsilon_array(self, ts: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(ts).shape, self.value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
-class InverseTimeEpsilon:
-    """GLIE schedule: epsilon_t = min(1, 1/t)."""
-
-    def epsilon_at(self, t: int) -> float:
-        return min(1.0, 1.0 / max(t, 1))
+class InverseTimeEpsilon(_EpsilonRule):
+    """GLIE schedule: epsilon_t = min(1, 1/t), ``ExploreThenInverseDecay(0)``'s rule."""
 
     def epsilon_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.float64)
-        return np.minimum(1.0, 1.0 / np.maximum(ts, 1.0))
+        return ExploreThenInverseDecay(0).epsilon_array(ts)
 
 
 def _check_t_explore(schedule) -> None:
-    object.__setattr__(schedule, "t_explore", as_int(schedule.t_explore, "t_explore"))
-    if schedule.t_explore < 0:
-        raise ValueError("t_explore must be >= 0")
+    object.__setattr__(schedule, "t_explore", as_int(schedule.t_explore, "t_explore", 0))
 
 
 @dataclass(frozen=True)
-class ExploreThenExploit:
+class ExploreThenExploit(_EpsilonRule):
     """Pure exploration for the first ``t_explore`` slots, then pure greed."""
 
     t_explore: int
@@ -58,26 +56,18 @@ class ExploreThenExploit:
     def __post_init__(self) -> None:
         _check_t_explore(self)
 
-    def epsilon_at(self, t: int) -> float:
-        return 1.0 if t <= self.t_explore else 0.0
-
     def epsilon_array(self, ts: np.ndarray) -> np.ndarray:
         return (np.asarray(ts) <= self.t_explore).astype(np.float64)
 
 
 @dataclass(frozen=True)
-class ExploreThenInverseDecay:
+class ExploreThenInverseDecay(_EpsilonRule):
     """Pure exploration for ``t_explore`` slots, then 1/(t - t_explore)."""
 
     t_explore: int
 
     def __post_init__(self) -> None:
         _check_t_explore(self)
-
-    def epsilon_at(self, t: int) -> float:
-        if t <= self.t_explore:
-            return 1.0
-        return min(1.0, 1.0 / (t - self.t_explore))
 
     def epsilon_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.float64)
@@ -210,8 +200,7 @@ class PiecewiseCostSchedule:
         return len(self.segments) == 1
 
     def params_at(self, slot: int) -> CostParams:
-        if slot < 0:
-            raise ValueError("slot must be >= 0")
+        slot = as_int(slot, "slot", 0)
         starts = np.array([s for s, _ in self.segments])
         seg = int(np.searchsorted(starts, slot, side="right")) - 1
         return self.segments[seg][1]

@@ -52,10 +52,8 @@ class PopularityEnv:
             raise ValueError("global and local chains must share one catalog size")
         if self.request_mode not in REQUEST_MODES:
             raise ValueError(f"request_mode must be one of {REQUEST_MODES}")
-        n_requests = as_int(self.requests_per_slot, "requests_per_slot")
+        n_requests = as_int(self.requests_per_slot, "requests_per_slot", 1)
         object.__setattr__(self, "requests_per_slot", n_requests)
-        if self.requests_per_slot < 1:
-            raise ValueError("requests_per_slot must be >= 1")
 
     @property
     def catalog_size(self) -> int:
@@ -142,9 +140,7 @@ def run_lockstep(
     outcome. ``normalized_error()`` -> (R,) is needed with ``error_slots``,
     and ``trace_epsilon(j)`` and ``trace_beta(j)`` only with ``collect_trace``.
     """
-    horizon = as_int(horizon, "horizon")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = as_int(horizon, "horizon", 1)
     n_real = len(rngs)
     if n_real < 1:
         raise ValueError("need at least one realization")
@@ -179,9 +175,7 @@ def run_lockstep(
     err_values: list[float] = []
     err_ptr = 0
     if error_slots is not None:
-        err_slots = np.unique(as_ints(list(error_slots), "error slot"))
-        if err_slots.size and (err_slots[0] < 0 or err_slots[-1] >= horizon):
-            raise ValueError("error snapshot slots must lie in [0, horizon)")
+        err_slots = np.unique(as_ints(list(error_slots), "error slot", 0, horizon))
 
     trace = None
     if collect_trace:
@@ -273,12 +267,17 @@ def run_lockstep(
     )
 
 
-class UniformActionDraws:
-    """Chunked sampling of uniform M-subsets, one per slot per realization.
+def uniform_subsets(u: np.ndarray, m: int) -> np.ndarray:
+    """Unordered 0-based M-subsets, one per row of i.i.d. uniforms ``u`` over the catalog.
 
-    Subsets come from the top-M entries of i.i.d. uniforms over the catalog,
-    which is uniform over all C(F, M) subsets without enumerating them.
+    A row's subset holds the positions of its M smallest uniforms, which is
+    uniform over all C(F, M) subsets without enumerating them.
     """
+    return np.argpartition(u, m - 1, axis=-1)[..., :m]
+
+
+class UniformActionDraws:
+    """Chunked sampling of :func:`uniform_subsets`, one per slot per realization."""
 
     def __init__(self, f: int, m: int):
         self.f = f
@@ -291,8 +290,7 @@ class UniformActionDraws:
             # row blocks keep the (rows, F) temporaries small; the stream is unchanged
             for lo in range(0, n, DRAW_ROWS):
                 u = rng.random((min(DRAW_ROWS, n - lo), self.f))
-                picks = np.argpartition(u, self.m - 1, axis=1)
-                self.files[r, lo : lo + DRAW_ROWS] = picks[:, : self.m]
+                self.files[r, lo : lo + DRAW_ROWS] = uniform_subsets(u, self.m)
 
     def mask_at(self, j: int) -> np.ndarray:
         return files_mask(self.files[:, j], self.f)

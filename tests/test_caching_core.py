@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,9 +65,16 @@ class TestActionSpace:
         assert top.files == tuple(range(991, 1001))
         assert space.index_of(top) == idx
         assert space.action(0).files == tuple(range(1, 11))
+        # the bound is compared as a Python int, beyond the int64 range
+        with pytest.raises(ValueError, match=f"^action index must lie in \\[0, {idx + 1}\\)"):
+            space.action(idx + 1)
         with pytest.raises(ValueError):
             space.mask_matrix()
         assert math.comb(1000, 10) > MATERIALIZE_LIMIT
+
+    def test_state_space_rejects_huge_action_space(self):
+        with pytest.raises(ValueError, match="too large to materialize"):
+            cr.StateSpace(*cr.large_network_chains(), 10)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -261,17 +269,116 @@ INTEGER_HOLES = {
         lambda sp, sc: cr.run_scenario(sc, oracle_compare=True, error_slots=[2.7, 10.2]),
         "error slot",
     ),
-    "run_lockstep-horizon": (
-        lambda sp, sc: cr.simulate.run_lockstep(
-            sc.env(),
-            cr.simulate.RandomBaselineAgent(10, 2),
-            sc.lambda_schedule,
-            5.5,
-            [np.random.default_rng(0)],
-        ),
-        "horizon",
+    "run_lockstep-horizon": (lambda sp, sc: lockstep(sc, 5.5), "horizon"),
+    "td_update-state": (lambda sp, sc: learner(sp).td_update(0.5, 0, 0, 1.0), "state index"),
+    "epsilon_greedy_action-state": (
+        lambda sp, sc: learner(sp).epsilon_greedy_action(1.5, 0.0, np.random.default_rng(0)),
+        "state index",
+    ),
+    "params_at-slot": (lambda sp, sc: sc.lambda_schedule.params_at(0.5), "slot"),
+    "greedy_top_m-m": (
+        lambda sp, sc: cr.greedy_top_m(cr.LinearParams.zeros(2, 2, 10), state(0, 0), 2.5),
+        "cache capacity",
     ),
 }
+
+
+def lockstep(sc, horizon):
+    agent = cr.simulate.RandomBaselineAgent(10, 2)
+    rngs = [np.random.default_rng(0)]
+    return cr.simulate.run_lockstep(sc.env(), agent, sc.lambda_schedule, horizon, rngs)
+
+
+def learner(sp):
+    return cr.ExactQLearner(sp, cr.QLearnerConfig())
+
+
+def state(g, l):
+    return cr.SystemState(g, l, action((1, 2)))
+
+
+# Bounds go through the same rule, as_int(value, name, lo, hi): an integer
+# outside [lo, hi) raises ValueError naming the field and the bound.
+OUT_OF_RANGE = {
+    "CacheAction-file": (lambda sp, sc: action((1, 11)), "file index must lie in [1, 11), got 11"),
+    "ActionSpace-m-low": (
+        lambda sp, sc: cr.ActionSpace(10, 0), "cache capacity must lie in [1, 11), got 0"
+    ),
+    "ActionSpace-m-high": (
+        lambda sp, sc: cr.ActionSpace(10, 11), "cache capacity must lie in [1, 11), got 11"
+    ),
+    "ActionSpace.action": (
+        lambda sp, sc: sp.actions.action(45), "action index must lie in [0, 45), got 45"
+    ),
+    "SystemState-g": (lambda sp, sc: state(-1, 0), "g must be >= 0, got -1"),
+    "SystemState-l": (lambda sp, sc: state(0, -1), "l must be >= 0, got -1"),
+    "expected_cost-g": (
+        lambda sp, sc: expected_cost(sp, state(2, 0)), "g must lie in [0, 2), got 2"
+    ),
+    "expected_cost-l": (
+        lambda sp, sc: expected_cost(sp, state(0, 2)), "l must lie in [0, 2), got 2"
+    ),
+    "Scenario-cache_size": (
+        lambda sp, sc: cr.scenario_with(sc, cache_size=11), "cache_size must lie in [1, 11), got 11"
+    ),
+    "Scenario-horizon": (
+        lambda sp, sc: cr.scenario_with(sc, horizon=0), "horizon must be >= 1, got 0"
+    ),
+    "Scenario-realizations": (
+        lambda sp, sc: cr.scenario_with(sc, realizations=0), "realizations must be >= 1, got 0"
+    ),
+    "Scenario-base_seed": (
+        lambda sp, sc: cr.scenario_with(sc, base_seed=-1), "base_seed must be >= 0, got -1"
+    ),
+    "state_index": (lambda sp, sc: sp.state_index(2, 0, 0), "g must lie in [0, 2), got 2"),
+    "state_components": (
+        lambda sp, sc: sp.state_components(180), "state index must lie in [0, 180), got 180"
+    ),
+    "transition_prob-action": (
+        lambda sp, sc: cr.transition_prob(sp, 0, 45, 0), "action index must lie in [0, 45), got 45"
+    ),
+    "epsilon_greedy_action-state": (
+        lambda sp, sc: learner(sp).epsilon_greedy_action(180, 0.0, np.random.default_rng(0)),
+        "state index must lie in [0, 180), got 180",
+    ),
+    "td_update-state": (
+        lambda sp, sc: learner(sp).td_update(10_000, 0, 0, 1.0),
+        "state index must lie in [0, 180), got 10000",
+    ),
+    "td_update-action": (
+        lambda sp, sc: learner(sp).td_update(0, 45, 0, 1.0),
+        "action index must lie in [0, 45), got 45",
+    ),
+    "td_update-next-state": (
+        lambda sp, sc: learner(sp).td_update(0, 0, -1, 1.0),
+        "next state index must lie in [0, 180), got -1",
+    ),
+    "psi-g": (
+        lambda sp, sc: cr.psi(cr.LinearParams.zeros(2, 2, 10), state(3, 0)),
+        "g must lie in [0, 2), got 3",
+    ),
+    "greedy_top_m-m": (
+        lambda sp, sc: cr.greedy_top_m(cr.LinearParams.zeros(2, 2, 10), state(0, 0), 11),
+        "cache capacity must lie in [1, 11), got 11",
+    ),
+    "t_explore": (lambda sp, sc: cr.ExploreThenExploit(-5), "t_explore must be >= 0, got -5"),
+    "params_at-slot": (
+        lambda sp, sc: sc.lambda_schedule.params_at(-1), "slot must be >= 0, got -1"
+    ),
+    "PopularityEnv-requests": (
+        lambda sp, sc: cr.PopularityEnv(sp.g_chain, sp.l_chain, requests_per_slot=0),
+        "requests_per_slot must be >= 1, got 0",
+    ),
+    "run_lockstep-horizon": (lambda sp, sc: lockstep(sc, 0), "horizon must be >= 1, got 0"),
+    "run_scenario-error_slots": (
+        lambda sp, sc: cr.run_scenario(sc, oracle_compare=True, error_slots=[3, 20]),
+        "error slot must lie in [0, 20), got 20",
+    ),
+}
+
+
+def expected_cost(sp, prev):
+    return cr.expected_cost(prev, action((1, 2)), sp.g_chain, sp.l_chain, cr.CostParams(1, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +390,13 @@ def short_s1():
 def test_non_integer_raises_naming_its_field(case, small_space, short_s1):
     build, field = INTEGER_HOLES[case]
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        build(small_space, short_s1)
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_raises_naming_its_field(case, small_space, short_s1):
+    build, message = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(small_space, short_s1)
 
 

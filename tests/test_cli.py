@@ -97,6 +97,14 @@ def test_oracle_subcommand_exports_three_csvs(tmp_path, capsys):
     assert "180 states x 45 actions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--scenario", "s7"], ["run", "--scenario", "s7", "--oracle-compare"]]
+)
+def test_large_network_oracle_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "too large to materialize" in capsys.readouterr().err
+
+
 def test_oracle_rejects_dynamic(capsys):
     assert main(["oracle", "--scenario", "dynamic", "--out", "x"]) == 2
     assert "constant" in capsys.readouterr().err

@@ -157,6 +157,15 @@ class TestPresets:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize(
+        "learner, oracle_compare",
+        [("exact", False), ("oracle-policy", True), ("random-baseline", True)],
+    )
+    def test_error_slots_without_tracked_error_raise(self, learner, oracle_compare):
+        sc = cr.preset_scenario("s1", horizon=20, realizations=1, learner=learner)
+        with pytest.raises(ValueError, match="error_slots needs oracle_compare"):
+            cr.run_scenario(sc, oracle_compare=oracle_compare, error_slots=[3, 5])
+
     def test_identical_seeds_average_equals_single(self, small_net, small_space):
         sc = small_scenario(small_net, horizon=800)
 
@@ -324,6 +333,17 @@ class TestMetricsHelpers:
             [cr.random_baseline_action(space, rng) for _ in range(n)], minlength=6
         )
         np.testing.assert_allclose(counts / n, 1 / 6, atol=0.01)
+
+    def test_engine_subset_sampler_uniform(self):
+        draws = cr.simulate.UniformActionDraws(4, 2)
+        n = 1_000_000
+        draws.draw([np.random.default_rng(2)], n)
+        files = np.sort(draws.files[0], axis=1)
+        counts = np.bincount(files[:, 0] * 4 + files[:, 1], minlength=16)
+        # the six pairs (a, b) with a < b hold every draw, each about 1/6 of them
+        pairs = counts[[1, 2, 3, 6, 7, 11]]
+        assert pairs.sum() == n
+        np.testing.assert_allclose(pairs / n, 1 / 6, atol=0.01)
 
     def test_random_baseline_edge_and_reproducible(self):
         full = cr.enumerate_actions(3, 3)

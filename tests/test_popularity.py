@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,33 @@ INTEGER_HOLES = {
     "step_chain-state": (
         lambda chain: cr.step_chain(chain, 0.5, np.random.default_rng(0)), "state index"
     ),
+    "random_chain-n_states": (
+        lambda chain: cr.random_chain(2.5, 3, np.random.default_rng(0)), "n_states"
+    ),
+    "random_chain-catalog": (
+        lambda chain: cr.random_chain(2, 2.5, np.random.default_rng(0)), "catalog size"
+    ),
+}
+
+# Bounds go through the same rule, as_int(value, name, lo, hi): an integer
+# outside [lo, hi) raises ValueError naming the field and the bound.
+OUT_OF_RANGE = {
+    "RequestBatch-counts": (lambda chain: cr.RequestBatch([1, -1]), "counts must be >= 0, got -1"),
+    "zipf_profile-catalog": (
+        lambda chain: cr.zipf_profile(0, 1.0), "catalog size must be >= 1, got 0"
+    ),
+    "step_chain-state": (
+        lambda chain: cr.step_chain(chain, 2, np.random.default_rng(0)),
+        "state index must lie in [0, 2), got 2",
+    ),
+    "sample_requests-n": (
+        lambda chain: cr.sample_requests(chain.states[0], 0, np.random.default_rng(0)),
+        "request count must be >= 1, got 0",
+    ),
+    "random_chain-n_states": (
+        lambda chain: cr.random_chain(0, 3, np.random.default_rng(0)),
+        "n_states must be >= 1, got 0",
+    ),
 }
 
 
@@ -252,6 +280,13 @@ INTEGER_HOLES = {
 def test_non_integer_raises_naming_its_field(case, small_net):
     build, field = INTEGER_HOLES[case]
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        build(small_net[0])
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_raises_naming_its_field(case, small_net):
+    build, message = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(small_net[0])
 
 

@@ -41,6 +41,18 @@ class TestEpsilonSchedules:
         s = ExploreThenInverseDecay(t_explore=2)
         assert [s.epsilon_at(t) for t in (1, 2, 3, 4, 6)] == [1, 1, 1.0, 0.5, 0.25]
 
+    def test_explore_then_inverse_array(self):
+        ts = np.array([0, 1, 5, 6, 7, 8, 10, 15, 105])
+        np.testing.assert_array_equal(
+            ExploreThenInverseDecay(t_explore=5).epsilon_array(ts),
+            [1, 1, 1, 1, 0.5, 1 / 3, 0.2, 0.1, 0.01],
+        )
+        # min(1, 1/t), the t_explore = 0 case, for every t >= 0
+        ts = np.arange(0, 1000)
+        np.testing.assert_array_equal(
+            InverseTimeEpsilon().epsilon_array(ts), np.minimum(1.0, 1.0 / np.maximum(ts, 1))
+        )
+
     @pytest.mark.parametrize("cls", [ExploreThenExploit, ExploreThenInverseDecay])
     def test_t_explore_must_be_finite_and_non_negative(self, cls):
         for bad in (float("nan"), float("inf"), -float("inf"), -5, -0.5):
