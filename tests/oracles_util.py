@@ -8,6 +8,11 @@ the exception: they take the mean slot costs from
 ``first_principles_tables`` in ``TestTableBuilder``) and differ from the
 solvers in the transition path, a dense |S| x |S| matrix with a direct
 solve, which keeps them usable up to a few thousand states.
+
+The per-slot references (``loop_cached_mass``, ``loop_slot_cost``,
+``LoopExactLearner``, ``LoopLinearLearner``) restate the slot cost and both
+learners' steps one file and one table entry at a time in plain Python, for
+the differential tests that replay the lockstep engine slot by slot.
 """
 
 from __future__ import annotations
@@ -16,7 +21,110 @@ import itertools
 
 import numpy as np
 
-from cache_rl.caching_core import SystemState, aggregate_cost
+
+def loop_sum(values):
+    """Left-to-right float sum, starting from 0.0."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def loop_cached_mass(files, probs):
+    """Popularity mass of the 1-based ``files``, added in ascending file order."""
+    return loop_sum(probs[i - 1] for i in sorted(files))
+
+
+def loop_slot_cost(prev_files, files, p_g, p_l, params):
+    """Refresh + local + global mismatch cost of caching ``files`` after ``prev_files``.
+
+    The refresh count is the set difference; ``p_g``/``p_l`` are the revealed
+    next-slot profiles.
+    """
+    fetched = len(set(files) - set(prev_files))
+    return (
+        params.lambda1 * fetched
+        + params.lambda2 * (1.0 - loop_cached_mass(files, p_l.probs))
+        + params.lambda3 * (1.0 - loop_cached_mass(files, p_g.probs))
+    )
+
+
+class LoopExactLearner:
+    """Tabular Q-learning, one table entry at a time.
+
+    ``beta`` is a constant step size, or None for 1 / (1 + visits(s, a)).
+    """
+
+    def __init__(self, n_states, n_actions, gamma, beta):
+        self.q = [[0.0] * n_actions for _ in range(n_states)]
+        self.visits = [[0] * n_actions for _ in range(n_states)]
+        self.gamma = gamma
+        self.beta = beta
+
+    def greedy(self, s):
+        """Lowest action index among the minimizers of Q(s, .)."""
+        row = self.q[s]
+        best = 0
+        for a in range(1, len(row)):
+            if row[a] < row[best]:
+                best = a
+        return best
+
+    def update(self, s, a, s_next, cost):
+        beta = 1.0 / (1.0 + self.visits[s][a]) if self.beta is None else self.beta
+        target = cost + self.gamma * min(self.q[s_next])
+        self.q[s][a] = (1.0 - beta) * self.q[s][a] + beta * target
+        self.visits[s][a] += 1
+
+
+class LoopLinearLearner:
+    """The linear top-M learner, one file at a time.
+
+    Scores are psi_i = theta_g[g][i] + theta_l[l][i] + theta_r * [i cached];
+    the Q of a cache is the score mass it leaves uncached.
+    """
+
+    def __init__(self, n_g, n_l, f, m, config):
+        self.theta_g = [[0.0] * f for _ in range(n_g)]
+        self.theta_l = [[0.0] * f for _ in range(n_l)]
+        self.theta_r = 0.0
+        self.f = f
+        self.m = m
+        self.config = config
+
+    def scores(self, state):
+        cached = set(state.action.files)
+        g_row, l_row = self.theta_g[state.g], self.theta_l[state.l]
+        return [
+            g_row[i] + l_row[i] + self.theta_r * (1.0 if i + 1 in cached else 0.0)
+            for i in range(self.f)
+        ]
+
+    def top_m(self, state):
+        """The M highest-scoring files (1-based, ascending), ties to the lowest index."""
+        score = self.scores(state)
+        top = sorted(range(self.f), key=lambda i: (-score[i], i))[: self.m]
+        return tuple(sorted(i + 1 for i in top))
+
+    def q(self, state, files):
+        score = self.scores(state)
+        return loop_sum(score) - loop_sum(score[i - 1] for i in sorted(files))
+
+    def min_q(self, state):
+        """Minimum of ``q`` over every M-file cache."""
+        caches = itertools.combinations(range(1, self.f + 1), self.m)
+        return min(self.q(state, files) for files in caches)
+
+    def update(self, prev, files, nxt, cost):
+        """TD error of caching ``files`` from ``prev`` and one semi-gradient step."""
+        cfg = self.config
+        err = cost + cfg.gamma * self.min_q(nxt) - self.q(prev, files)
+        for i in range(self.f):
+            not_cached = 0.0 if i + 1 in files else 1.0
+            self.theta_g[prev.g][i] += cfg.alpha_g * (err * not_cached)
+            self.theta_l[prev.l][i] += cfg.alpha_l * (err * not_cached)
+        fetched = len(set(files) - set(prev.action.files))
+        self.theta_r += cfg.alpha_r * err * fetched
 
 
 def first_principles_tables(space, params):
@@ -33,15 +141,15 @@ def first_principles_tables(space, params):
     prob = np.zeros((n_s, n_a, n_gl))
     for s in range(n_s):
         g, l, a_prev = space.state_components(s)
-        prev = SystemState(g=g, l=l, action=space.actions.action(a_prev))
+        prev_files = space.actions.action(a_prev).files
         for a in range(n_a):
             act = space.actions.action(a)
             k = 0
             for g2 in range(g_ch.n_states):
                 for l2 in range(l_ch.n_states):
                     p = g_ch.transition[g, g2] * l_ch.transition[l, l2]
-                    cbar[s, a] += p * aggregate_cost(
-                        prev, act, g_ch.states[g2], l_ch.states[l2], params
+                    cbar[s, a] += p * loop_slot_cost(
+                        prev_files, act.files, g_ch.states[g2], l_ch.states[l2], params
                     )
                     succ[s, a, k] = space.state_index(g2, l2, a)
                     prob[s, a, k] = p

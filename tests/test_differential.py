@@ -5,17 +5,20 @@ oracle-policy agent and the random baseline must reproduce, bit for bit, a
 loop that replays the engine's documented draw order (per realization:
 initial global and local state, then per chunk the global chain draws, the
 local chain draws, the request samples in empirical mode, and the agent's
-own draws) through the single-step public API: ``step_chain``,
-``sample_requests``, ``quantize_to_state(estimate_empirical(...))``,
-``aggregate_cost``, ``ExactQLearner`` and ``psi``/``greedy_top_m``/
-``linear_td_error``/``sgd_update``. For one realization, the learners'
+own draws). The loop draws through the single-step public API
+(``step_chain``, ``sample_requests``,
+``quantize_to_state(estimate_empirical(...))``) and computes the slot cost,
+the hit fraction and both learners' steps with the plain-Python loop
+reference in ``oracles_util`` (``loop_slot_cost``, ``loop_cached_mass``,
+``LoopExactLearner``, ``LoopLinearLearner``), which shares no code with the
+kernels the engine and its agents run. For one realization, the learners'
 traces must equal the loop's actions, seen states and costs slot by slot.
 
 Catalogs stay below 8 files, so every numpy sum over a catalog-length row
-(the engine's masked sums) and every sum over the cached files (the scalar
-API) is a plain left-to-right sum: both see the same nonzero terms in the
-same order, and the results are equal. The chunk size is drawn too, so chunk
-boundaries fall anywhere in the horizon.
+(the engine's masked sums) is a plain left-to-right sum, and so is the
+reference's sum over the cached files in ascending order: both see the same
+nonzero terms in the same order, and the results are equal. The chunk size
+is drawn too, so chunk boundaries fall anywhere in the horizon.
 """
 
 from unittest import mock
@@ -26,10 +29,10 @@ from hypothesis import strategies as st
 
 import cache_rl as cr
 from cache_rl import simulate
-from cache_rl.caching_core import aggregate_cost
 from cache_rl.q_exact import BatchExactAgent
-from cache_rl.q_linear import BatchLinearAgent, LinearParams
+from cache_rl.q_linear import BatchLinearAgent
 from cache_rl.schedules import VisitCountBeta
+from oracles_util import LoopExactLearner, LoopLinearLearner, loop_cached_mass, loop_slot_cost
 
 SETTINGS = settings(
     max_examples=100,
@@ -102,7 +105,7 @@ def walk(chain, state, n, rng):
 
 
 def manual_run(inst, realization, agent_draws, choose, update):
-    """One realization through the scalar API.
+    """One realization through the single-step API and the loop reference.
 
     Returns (costs, hits, actions, g_states, l_states): per slot, the cost,
     the hit fraction, the chosen CacheAction and the next state it saw.
@@ -139,9 +142,9 @@ def manual_run(inst, realization, agent_draws, choose, update):
             t = c0 + j
             action = choose(t, j, draws, prev)
             g_next = g_path[j]
-            cost = aggregate_cost(
-                prev,
-                action,
+            cost = loop_slot_cost(
+                prev.action.files,
+                action.files,
                 g_chain.states[g_next],
                 revealed[j],
                 inst["schedule"].params_at(t),
@@ -149,7 +152,7 @@ def manual_run(inst, realization, agent_draws, choose, update):
             nxt = cr.SystemState(g=g_next, l=seen[j], action=action)
             update(prev, action, nxt, cost)
             costs.append(cost)
-            hits.append(cr.cache_hit_fraction(action, revealed[j]))
+            hits.append(loop_cached_mass(action.files, revealed[j].probs))
             actions.append(action)
             g_states.append(nxt.g)
             l_states.append(nxt.l)
@@ -200,30 +203,34 @@ class TestEngineAgainstManualLoop:
         index = space.actions.index_of
         per_real = []
         for r in range(inst["n_real"]):
-            learner = cr.ExactQLearner(space, config)
+            learner = LoopExactLearner(
+                space.n_states, space.n_actions, config.gamma, None if visit_beta else config.beta
+            )
 
             def choose(t, j, draws, prev):
                 u, explore_a = draws
                 s = space.state_index(prev.g, prev.l, index(prev.action))
-                greedy = int(np.argmin(learner.q[s]))
+                greedy = learner.greedy(s)
                 a = int(explore_a[j]) if u[j] < config.epsilon.epsilon_at(t + 1) else greedy
                 return space.actions.action(a)
 
             def update(prev, action, nxt, cost):
                 s_prev = space.state_index(prev.g, prev.l, index(prev.action))
                 s_next = space.state_index(nxt.g, nxt.l, index(action))
-                learner.td_update(s_prev, index(action), s_next, cost)
+                learner.update(s_prev, index(action), s_next, cost)
 
             per_real.append(
                 manual_run(inst, r, explore_draws(space.n_actions), choose, update)
             )
-            np.testing.assert_array_equal(agent.q[r], learner.q)
+            np.testing.assert_array_equal(agent.q[r], np.array(learner.q))
         assert_same_aggregates(result, per_real)
         assert_same_trace(result, per_real)
 
-    # The engine sums the top-M scores in np.partition order, the scalar
-    # q_hat in ascending file order; for M <= 2 the two sums are the same
-    # single addition, for M >= 3 they may round differently.
+    # The engine's min over next caches sums the top-M scores in
+    # np.partition order; the loop reference takes the minimum of the Q of
+    # every cache, each summed in ascending file order. For M <= 2 each sum
+    # is one addition and both minima are the same number; for M >= 3 they
+    # may round differently.
     @SETTINGS
     @given(inst=instances(max_m=2), alpha=st.floats(1e-4, 0.02))
     def test_linear_agent(self, inst, alpha):
@@ -236,7 +243,7 @@ class TestEngineAgainstManualLoop:
         result = run_engine(inst, agent, collect_trace=inst["n_real"] == 1)
         per_real = []
         for r in range(inst["n_real"]):
-            params = [LinearParams.zeros(env.g_chain.n_states, env.l_chain.n_states, f)]
+            learner = LoopLinearLearner(env.g_chain.n_states, env.l_chain.n_states, f, m, config)
 
             def draws(rng, n):
                 u = rng.random(n)
@@ -247,16 +254,15 @@ class TestEngineAgainstManualLoop:
                 u, rand_files = draws
                 if u[j] < config.epsilon.epsilon_at(t + 1):
                     return cr.CacheAction(tuple(int(x) + 1 for x in rand_files[j]), f)
-                return cr.greedy_top_m(params[0], prev, m)
+                return cr.CacheAction(learner.top_m(prev), f)
 
             def update(prev, action, nxt, cost):
-                err = cr.linear_td_error(params[0], prev, action, nxt, cost, config.gamma)
-                params[0] = cr.sgd_update(params[0], prev, action, err, config)
+                learner.update(prev, action.files, nxt, cost)
 
             per_real.append(manual_run(inst, r, draws, choose, update))
-            np.testing.assert_array_equal(agent.theta_g[r], params[0].theta_g)
-            np.testing.assert_array_equal(agent.theta_l[r], params[0].theta_l)
-            assert agent.theta_r[r] == params[0].theta_r
+            np.testing.assert_array_equal(agent.theta_g[r], np.array(learner.theta_g))
+            np.testing.assert_array_equal(agent.theta_l[r], np.array(learner.theta_l))
+            assert agent.theta_r[r] == learner.theta_r
         assert_same_aggregates(result, per_real)
         assert_same_trace(result, per_real)
 
