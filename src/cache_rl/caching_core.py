@@ -4,10 +4,13 @@ A caching action is the size-M subset of the F-file catalog held in the
 cache for one slot. The aggregate slot cost is the sum of three parts:
 a per-file refresh charge for newly fetched files, and two mismatch
 charges that penalize the popularity mass (local and global) left
-uncached. All functions here are pure and operate on immutable inputs,
-except :func:`write_table`, the one writer of every CSV table the package
-exports: UTF-8, LF line endings, floats as 17 significant digits, and
-cached files labelled by :func:`files_label`.
+uncached. Every slot cost, the engine's on (R, F) masks and those of
+``refresh_cost``, ``mismatch_cost``, ``aggregate_cost`` and
+``expected_cost`` on one mask, is built from ``cached_mass`` and
+``fetched_count``. All functions here are pure and operate on immutable
+inputs, except :func:`write_table`, the one writer of every CSV table the
+package exports: UTF-8, LF line endings, floats as 17 significant digits,
+and cached files labelled by :func:`files_label`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -101,6 +105,8 @@ class ActionSpace:
         self.size = math.comb(self.f, self.m)
 
     def __len__(self) -> int:
+        if self.size > sys.maxsize:
+            raise ValueError(f"{self.size} actions do not fit len(); read .size instead")
         return self.size
 
     def __iter__(self):
@@ -193,20 +199,28 @@ class SystemState:
         object.__setattr__(self, "l", as_int(self.l, "l", 0))
 
 
+def cached_mass(mask: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Popularity mass held by each cache: ``mask * probs`` summed over the catalog axis."""
+    return (mask * probs).sum(axis=-1)
+
+
+def fetched_count(mask: np.ndarray, mask_prev: np.ndarray, m: int) -> np.ndarray:
+    """Files of each M-file cache in ``mask`` that ``mask_prev`` did not hold."""
+    return m - (mask * mask_prev).sum(axis=-1)
+
+
 def refresh_cost(a_new: CacheAction, a_prev: CacheAction, lambda1: float) -> float:
     """lambda1 times the number of files in ``a_new`` not already cached."""
     if a_new.catalog_size != a_prev.catalog_size:
         raise ValueError("actions refer to different catalogs")
-    fetched = len(set(a_new.files) - set(a_prev.files))
-    return lambda1 * fetched
+    return float(lambda1 * fetched_count(a_new.as_mask(), a_prev.as_mask(), a_new.cache_size))
 
 
 def mismatch_cost(action: CacheAction, profile: PopularityProfile, lam: float) -> float:
     """``lam`` times the popularity mass of the files left uncached."""
     if action.catalog_size != profile.catalog_size:
         raise ValueError("action and profile catalog sizes differ")
-    cached = float(profile.probs[np.array(action.files) - 1].sum())
-    return lam * (1.0 - cached)
+    return float(lam * (1.0 - cached_mass(action.as_mask(), profile.probs)))
 
 
 def aggregate_cost(
@@ -231,14 +245,14 @@ def expected_cost(
     l_chain: MarkovChain,
     params: CostParams,
 ) -> float:
-    """Mean slot cost under the one-step-ahead profile distributions."""
+    """Mean slot cost: the realized cost's terms fed the one-step-ahead mean profiles."""
     g = as_int(prev.g, "g", 0, g_chain.n_states)
     l = as_int(prev.l, "l", 0, l_chain.n_states)
     exp_g = g_chain.transition[g] @ g_chain.profile_matrix()
     exp_l = l_chain.transition[l] @ l_chain.profile_matrix()
-    idx = np.array(action.files) - 1
+    mask = action.as_mask()
     return (
         refresh_cost(action, prev.action, params.lambda1)
-        + params.lambda2 * (1.0 - float(exp_l[idx].sum()))
-        + params.lambda3 * (1.0 - float(exp_g[idx].sum()))
+        + params.lambda2 * (1.0 - float(cached_mass(mask, exp_l)))
+        + params.lambda3 * (1.0 - float(cached_mass(mask, exp_g)))
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caching_core import ActionSpace, CacheAction, CostParams, write_table
+from .caching_core import ActionSpace, CacheAction, CostParams, cached_mass, write_table
 from .mdp_oracle import (
     PolicyIterationResult,
     StateSpace,
@@ -372,7 +372,7 @@ def cache_hit_fraction(action: CacheAction, p_l: PopularityProfile) -> float:
     """Share of the slot's local request mass served from cache."""
     if action.catalog_size != p_l.catalog_size:
         raise ValueError("action and profile catalog sizes differ")
-    return float(p_l.probs[np.array(action.files) - 1].sum())
+    return float(cached_mass(action.as_mask(), p_l.probs))
 
 
 def normalized_q_error(q_hat, q_star: np.ndarray, space: StateSpace | None = None) -> float:

@@ -4,6 +4,10 @@ The learner keeps one value per (state, action) pair, selects actions
 epsilon-greedily, and after each slot moves the visited entry toward
 ``cost + gamma * min_a Q(s', a)`` with step size beta. It never sees the
 chain transition probabilities; only realized costs drive the updates.
+
+The lockstep agent applies ``greedy`` and ``tabular_step`` to (R, S, A)
+tables; ``ExactQLearner.epsilon_greedy_action`` and ``td_update`` wrap
+them for one (S, A) table.
 """
 
 from __future__ import annotations
@@ -36,6 +40,23 @@ class QLearnerConfig:
         object.__setattr__(self, "gamma", as_discount(self.gamma))
 
 
+def greedy(q_rows):
+    """Greedy action of each Q row: the lowest-index argmin over the last axis."""
+    return np.argmin(q_rows, axis=-1)
+
+
+def tabular_step(q, visits, at, at_next, cost, gamma, beta):
+    """Move q[at] toward cost + gamma * min q[at_next] in place; returns the step size,
+    ``beta`` or, for a VisitCountBeta, 1 / (1 + visits[at]). ``visits`` may be None."""
+    q_min_next = q[at_next].min(axis=-1)
+    if isinstance(beta, VisitCountBeta):
+        beta = 1.0 / (1.0 + visits[at])
+    if visits is not None:
+        visits[at] += 1
+    q[at] = (1.0 - beta) * q[at] + beta * (cost + gamma * q_min_next)
+    return beta
+
+
 class ExactQLearner:
     """Mutable tabular learner; one instance per simulation loop."""
 
@@ -50,7 +71,7 @@ class ExactQLearner:
         s = as_int(s, "state index", 0, self.space.n_states)
         if rng.random() < epsilon:
             return int(rng.integers(self.space.n_actions))
-        return int(np.argmin(self.q[s]))
+        return int(greedy(self.q[s]))
 
     def td_update(
         self,
@@ -58,25 +79,20 @@ class ExactQLearner:
         a: int,
         s_next: int,
         cost: float,
-        beta: float | None = None,
+        beta: float | VisitCountBeta | None = None,
     ) -> float:
         """Move Q(s_prev, a) toward cost + gamma * min_a' Q(s_next, a').
 
-        Only the visited entry changes. Returns its new value.
+        ``beta`` overrides the configured step size. Only the visited entry
+        changes. Returns its new value.
         """
         s_prev = as_int(s_prev, "state index", 0, self.space.n_states)
         a = as_int(a, "action index", 0, self.space.n_actions)
         s_next = as_int(s_next, "next state index", 0, self.space.n_states)
         if not np.isfinite(cost):
             raise ValueError("cost must be finite")
-        if beta is None:
-            if isinstance(self.config.beta, VisitCountBeta):
-                beta = 1.0 / (1.0 + self.visits[s_prev, a])
-            else:
-                beta = self.config.beta
-        target = cost + self.config.gamma * float(self.q[s_next].min())
-        self.q[s_prev, a] = (1.0 - beta) * self.q[s_prev, a] + beta * target
-        self.visits[s_prev, a] += 1
+        beta = validate_beta(self.config.beta if beta is None else beta)
+        tabular_step(self.q, self.visits, (s_prev, a), s_next, cost, self.config.gamma, beta)
         return float(self.q[s_prev, a])
 
 
@@ -89,7 +105,6 @@ class BatchExactAgent:
         self.m = space.cache_size
         self.q: np.ndarray | None = None
         self._visits: np.ndarray | None = None
-        self._per_visit = isinstance(config.beta, VisitCountBeta)
         self._a_idx: np.ndarray | None = None
         self._err_ref: tuple[np.ndarray, float] | None = None
         self._eps: np.ndarray | None = None
@@ -101,7 +116,7 @@ class BatchExactAgent:
     def begin(self, n_realizations: int) -> None:
         space = self.space
         self.q = np.zeros((n_realizations, space.n_states, space.n_actions))
-        if self._per_visit:
+        if isinstance(self.config.beta, VisitCountBeta):
             self._visits = np.zeros(
                 (n_realizations, space.n_states, space.n_actions), dtype=np.int64
             )
@@ -119,27 +134,17 @@ class BatchExactAgent:
     def select(self, j, g, l_seen, mask_prev):
         space = self.space
         s_prev = space.state_indices(g, l_seen, self._a_idx)
-        greedy = np.argmin(self.q[self._r, s_prev], axis=1)
         explore = self._u[:, j] < self._eps[j]
-        a = np.where(explore, self._explore_a[:, j], greedy)
+        a = np.where(explore, self._explore_a[:, j], greedy(self.q[self._r, s_prev]))
         self._pending = (s_prev, a)
         return space.action_masks[a]
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
-        space = self.space
         s_prev, a = self._pending
-        s_next = space.state_indices(g_next, l_next_seen, a)
-        q_min_next = self.q[self._r, s_next].min(axis=1)
-        if self._per_visit:
-            beta = 1.0 / (1.0 + self._visits[self._r, s_prev, a])
-            self._visits[self._r, s_prev, a] += 1
-        else:
-            beta = self.config.beta
-        old = self.q[self._r, s_prev, a]
-        self.q[self._r, s_prev, a] = (1.0 - beta) * old + beta * (
-            cost + self.config.gamma * q_min_next
-        )
-        self._beta = beta
+        s_next = self.space.state_indices(g_next, l_next_seen, a)
+        at, at_next = (self._r, s_prev, a), (self._r, s_next)
+        gamma, beta = self.config.gamma, self.config.beta
+        self._beta = tabular_step(self.q, self._visits, at, at_next, cost, gamma, beta)
         self._a_idx = a
 
     def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:

@@ -12,6 +12,11 @@ scalar for the refresh pressure of the files currently cached. That is
 the M files with the largest psi entries; no search over the C(F, M)
 actions ever happens. Updates are semi-gradient SGD on the squared TD
 error, touching one theta_g row, one theta_l row, and theta_r per slot.
+
+The kernels act on the last (file) axis, of (R, F) rows in the lockstep
+agent and of one row in the wrappers ``psi`` (``scores``), ``greedy_top_m``
+(``top_m``), ``q_hat`` (``cache_q``), ``linear_td_error`` (``td_error``)
+and ``sgd_update`` (``sgd_step``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caching_core import CacheAction, SystemState, files_mask, write_table
+from .caching_core import CacheAction, SystemState, fetched_count, files_mask, write_table
 from .mdp_oracle import StateSpace, relative_q_error
 from .popularity import as_discount, as_int, as_number
 from .schedules import (
@@ -73,9 +78,9 @@ class LinearParams:
             raise ValueError("theta_g and theta_l must be 2-D")
         if self.theta_g.shape[1] != self.theta_l.shape[1]:
             raise ValueError("theta_g and theta_l must share the catalog dimension")
-        if not (np.isfinite(self.theta_g).all() and np.isfinite(self.theta_l).all()):
+        self.theta_r = as_number(self.theta_r, "theta_r")
+        if not all(np.isfinite(t).all() for t in (self.theta_g, self.theta_l, self.theta_r)):
             raise ValueError("parameters must be finite")
-        self.theta_r = float(self.theta_r)
 
     @classmethod
     def zeros(cls, n_g: int, n_l: int, f: int) -> "LinearParams":
@@ -108,6 +113,36 @@ class LinearParams:
         write_table(path, ["block", "state", "file", "value"], itertools.chain(rows, theta_r))
 
 
+def scores(theta_g, theta_l, theta_r, at_g, at_l, mask):
+    """Not-caching scores psi = theta_g[at_g] + theta_l[at_l] + theta_r * mask, per file."""
+    return theta_g[at_g] + theta_l[at_l] + theta_r * mask
+
+
+def top_m(psi_rows, m):
+    """0-based files of the M largest scores in each row, ties to the lowest index."""
+    return np.argsort(-psi_rows, axis=-1, kind="stable")[..., :m]
+
+
+def cache_q(psi_rows, mask):
+    """Q of each cache in ``mask``: the score mass it leaves uncached."""
+    return psi_rows.sum(axis=-1) - (psi_rows * mask).sum(axis=-1)
+
+
+def td_error(cost, gamma, psi_next, m, q_prev):
+    """cost + gamma * min_a' Q(s', a') - Q(s, a); the min adds the top M in partition order."""
+    top = -np.partition(-psi_next, m - 1, axis=-1)[..., :m].sum(axis=-1)
+    return cost + gamma * (psi_next.sum(axis=-1) - top) - q_prev
+
+
+def sgd_step(theta_g, theta_l, theta_r, at_g, at_l, mask, err, refresh, config):
+    """Semi-gradient step: theta_g[at_g] and theta_l[at_l] in place on the files
+    ``mask`` leaves uncached; returns theta_r moved by the fetched count ``refresh``."""
+    upd = err[..., None] * (1.0 - mask)
+    theta_g[at_g] += config.alpha_g * upd
+    theta_l[at_l] += config.alpha_l * upd
+    return theta_r + config.alpha_r * err * refresh
+
+
 def psi(params: LinearParams, state: SystemState) -> np.ndarray:
     """Per-file not-caching scores for one state."""
     f = params.catalog_size
@@ -115,15 +150,14 @@ def psi(params: LinearParams, state: SystemState) -> np.ndarray:
         raise ValueError("state action catalog does not match the parameters")
     g = as_int(state.g, "g", 0, params.theta_g.shape[0])
     l = as_int(state.l, "l", 0, params.theta_l.shape[0])
-    return params.theta_g[g] + params.theta_l[l] + params.theta_r * state.action.as_mask()
+    return scores(params.theta_g, params.theta_l, params.theta_r, g, l, state.action.as_mask())
 
 
 def q_hat(params: LinearParams, state: SystemState, a_next: CacheAction) -> float:
     """Approximate Q-value: the psi mass left uncached by ``a_next``."""
     if a_next.catalog_size != params.catalog_size:
         raise ValueError("action catalog does not match the parameters")
-    scores = psi(params, state)
-    return float(scores.sum() - scores[np.array(a_next.files) - 1].sum())
+    return float(cache_q(psi(params, state), a_next.as_mask()))
 
 
 def greedy_top_m(params: LinearParams, state: SystemState, m: int) -> CacheAction:
@@ -134,9 +168,8 @@ def greedy_top_m(params: LinearParams, state: SystemState, m: int) -> CacheActio
     """
     f = params.catalog_size
     m = as_int(m, "cache capacity", 1, f + 1)
-    scores = psi(params, state)
-    order = np.argsort(-scores, kind="stable")
-    return CacheAction(files=tuple(int(x) + 1 for x in order[:m]), catalog_size=f)
+    files = top_m(psi(params, state), m)
+    return CacheAction(files=tuple(int(x) + 1 for x in files), catalog_size=f)
 
 
 def linear_td_error(
@@ -148,8 +181,8 @@ def linear_td_error(
     gamma: float,
 ) -> float:
     """cost + gamma * min_a' q_hat(s_next, a') - q_hat(s_prev, a)."""
-    best_next = greedy_top_m(params, s_next, a.cache_size)
-    return cost + gamma * q_hat(params, s_next, best_next) - q_hat(params, s_prev, a)
+    q_prev = q_hat(params, s_prev, a)
+    return float(td_error(cost, gamma, psi(params, s_next), a.cache_size, q_prev))
 
 
 def sgd_update(
@@ -167,18 +200,17 @@ def sgd_update(
     if not np.isfinite(err):
         raise DivergenceError("non-finite TD error; aborting")
     out = params.copy()
-    not_cached = 1.0 - a.as_mask()
-    out.theta_g[s_prev.g] += config.alpha_g * err * not_cached
-    out.theta_l[s_prev.l] += config.alpha_l * err * not_cached
-    dropped = float(s_prev.action.as_mask() @ not_cached)
-    out.theta_r += config.alpha_r * err * dropped
+    mask = a.as_mask()
+    refresh = fetched_count(mask, s_prev.action.as_mask(), a.cache_size)
+    thetas, err = (out.theta_g, out.theta_l, out.theta_r), np.float64(err)
+    out.theta_r = float(sgd_step(*thetas, s_prev.g, s_prev.l, mask, err, refresh, config))
     return out
 
 
 def _q_table(theta_g, theta_l, theta_r, space: StateSpace) -> np.ndarray:
     """Linear Q values over all (state, action) pairs; a_prev^T (1 - a) is the refresh count."""
-    scores = (theta_g[:, None, :] + theta_l[None, :, :]).reshape(-1, theta_g.shape[1])
-    return space.q_table(theta_r, scores @ (1.0 - space.action_masks).T)
+    rows = (theta_g[:, None, :] + theta_l[None, :, :]).reshape(-1, theta_g.shape[1])
+    return space.q_table(theta_r, rows @ (1.0 - space.action_masks).T)
 
 
 def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
@@ -219,15 +251,11 @@ class BatchLinearAgent:
 
     def select(self, j, g, l_seen, mask_prev):
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = (
-                self.theta_g[self._r, g]
-                + self.theta_l[self._r, l_seen]
-                + self.theta_r[:, None] * mask_prev
-            )
-            top = np.argsort(-scores, axis=1, kind="stable")[:, : self.m]
+            psi_prev = self._scores(g, l_seen, mask_prev)
+            top = top_m(psi_prev, self.m)
             explore = self._u[:, j] < self._eps[j]
             mask = files_mask(np.where(explore[:, None], self._draws.files[:, j], top), self.f)
-            q_prev = scores.sum(axis=1) - (scores * mask).sum(axis=1)
+            q_prev = cache_q(psi_prev, mask)
         self._pending = (g, l_seen, q_prev, mask)
         return mask
 
@@ -235,22 +263,18 @@ class BatchLinearAgent:
         g_prev, l_prev, q_prev, mask = self._pending
         # overflow here is the divergence signal, not an error in itself
         with np.errstate(over="ignore", invalid="ignore"):
-            scores_next = (
-                self.theta_g[self._r, g_next]
-                + self.theta_l[self._r, l_next_seen]
-                + self.theta_r[:, None] * mask
-            )
-            top = -np.partition(-scores_next, self.m - 1, axis=1)[:, : self.m].sum(axis=1)
-            q_min_next = scores_next.sum(axis=1) - top
-            err = cost + self.config.gamma * q_min_next - q_prev
+            psi_next = self._scores(g_next, l_next_seen, mask)
+            err = td_error(cost, self.config.gamma, psi_next, self.m, q_prev)
         if not np.isfinite(err).all():
             t = int(self._ts[j])
             raise DivergenceError(f"non-finite TD error at slot {t}; aborting run")
-        not_cached = 1.0 - mask
-        upd = err[:, None] * not_cached
-        self.theta_g[self._r, g_prev] += self.config.alpha_g * upd
-        self.theta_l[self._r, l_prev] += self.config.alpha_l * upd
-        self.theta_r += self.config.alpha_r * err * refresh
+        r = self._r
+        thetas = (self.theta_g, self.theta_l, self.theta_r)
+        self.theta_r = sgd_step(*thetas, (r, g_prev), (r, l_prev), mask, err, refresh, self.config)
+
+    def _scores(self, g, l, mask):
+        r = self._r
+        return scores(self.theta_g, self.theta_l, self.theta_r[:, None], (r, g), (r, l), mask)
 
     def params_of(self, realization: int) -> LinearParams:
         return LinearParams(

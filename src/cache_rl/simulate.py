@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caching_core import files_label, files_mask, write_table
+from .caching_core import cached_mass, fetched_count, files_label, files_mask, write_table
 from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule
 
@@ -216,15 +216,15 @@ def run_lockstep(
             mask = agent.select(j, g, l_seen, mask_prev)
             g_next = g_path[:, j]
             l_next = l_path[:, j]
-            uncached_g = 1.0 - (mask * g_profiles[g_next]).sum(axis=1)
+            uncached_g = 1.0 - cached_mass(mask, g_profiles[g_next])
             if empirical:
                 freq = counts[:, j, :] / n_req
-                cached_l = (mask * freq).sum(axis=1)
+                cached_l = cached_mass(mask, freq)
                 l_next_seen = nearest_states(freq, l_profiles)
             else:
-                cached_l = (mask * l_profiles[l_next]).sum(axis=1)
+                cached_l = cached_mass(mask, l_profiles[l_next])
                 l_next_seen = l_next
-            refresh = m - (mask * mask_prev).sum(axis=1)
+            refresh = fetched_count(mask, mask_prev, m)
             cost = lam[0, j] * refresh + lam[1, j] * (1.0 - cached_l) + lam[2, j] * uncached_g
             agent.learn(j, g_next, l_next_seen, cost, refresh)
 

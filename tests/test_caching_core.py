@@ -72,6 +72,12 @@ class TestActionSpace:
             space.mask_matrix()
         assert math.comb(1000, 10) > MATERIALIZE_LIMIT
 
+    def test_len_beyond_the_index_range_points_to_size(self):
+        space = cr.enumerate_actions(1000, 10)
+        message = f"^{space.size} actions do not fit len\\(\\); read .size instead$"
+        with pytest.raises(ValueError, match=message):
+            len(space)
+
     def test_state_space_rejects_huge_action_space(self):
         with pytest.raises(ValueError, match="too large to materialize"):
             cr.StateSpace(*cr.large_network_chains(), 10)

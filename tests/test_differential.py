@@ -302,3 +302,149 @@ class TestEngineAgainstManualLoop:
             manual_run(inst, r, draws, choose, lambda *args: None) for r in range(inst["n_real"])
         ]
         assert_same_aggregates(result, per_real)
+
+
+@st.composite
+def single_steps(draw, max_f):
+    """A start for a few slots of one realization: chains, sizes, the first
+    state, cost weights and the learners' hyperparameters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # sizes uniform over the range, not skewed small as st.integers draws them
+    f = int(rng.integers(1, max_f + 1))
+    m = int(rng.integers(1, f + 1))
+    g_chain = random_chain(rng, draw(st.integers(1, 2)), f, duplicate=False)
+    l_chain = random_chain(rng, draw(st.integers(1, 2)), f, duplicate=False)
+    return dict(
+        g_chain=g_chain,
+        l_chain=l_chain,
+        m=m,
+        rng=rng,
+        g=int(rng.integers(g_chain.n_states)),
+        l=int(rng.integers(l_chain.n_states)),
+        prev_files=tuple(int(x) + 1 for x in np.sort(rng.permutation(f)[:m])),
+        params=cr.CostParams(*rng.uniform(0.0, 1000.0, size=3)),
+        explore=draw(st.booleans()),
+        gamma=draw(st.floats(0.0, 0.99)),
+    )
+
+
+def engine_cost(mask_prev, mask, p_g, p_l, params):
+    """The cost of caching ``mask`` after ``mask_prev`` (one realization's
+    (1, F) masks) as ``run_lockstep`` computes it, on one-state chains with
+    the profiles ``p_g`` and ``p_l``."""
+    picks, costs = [mask_prev, mask], []
+
+    class Replay:
+        m = int(mask.sum())
+
+        def begin(self, n):
+            pass
+
+        def predraw(self, rngs, ts):
+            pass
+
+        def select(self, j, g, l_seen, prev):
+            return picks[len(costs)]
+
+        def learn(self, j, g_next, l_next_seen, cost, refresh):
+            costs.append(cost[0])
+
+    def chain(p):
+        return cr.MarkovChain(states=(cr.PopularityProfile(p),), transition=[[1.0]])
+
+    env = cr.PopularityEnv(g_chain=chain(p_g), l_chain=chain(p_l))
+    schedule = cr.PiecewiseCostSchedule.constant(params)
+    simulate.run_lockstep(env, Replay(), schedule, 2, [np.random.default_rng(0)])
+    return costs[1]
+
+
+class TestScalarApiIsTheBatchMath:
+    """The single-state API against the lockstep agents and engine with one
+    realization, bit for bit, at catalogs up to 12 files and every M <= F.
+
+    The loop reference above is the correctness check; these cases pin the
+    scalar names to the same kernels at sizes where a second copy of the
+    math would round differently (numpy's pairwise sums from 8 files on,
+    np.partition order from 3 cached files on).
+    """
+
+    @SETTINGS
+    @given(case=single_steps(max_f=12), alpha=st.floats(1e-4, 0.1))
+    def test_linear_select_and_learn(self, case, alpha):
+        g_chain, l_chain, m, rng = case["g_chain"], case["l_chain"], case["m"], case["rng"]
+        n_g, n_l, f = g_chain.n_states, l_chain.n_states, g_chain.catalog_size
+        config = cr.LinearLearnerConfig(
+            alpha_g=alpha, alpha_l=alpha / 2, alpha_r=alpha, epsilon=float(case["explore"]),
+            gamma=case["gamma"],
+        )
+        agent = BatchLinearAgent(n_g, n_l, f, m, config)
+        agent.begin(1)
+        # few distinct values, so that top-M ties occur
+        agent.theta_g[0] = rng.integers(-3, 4, size=(n_g, f)) * 100.0 + rng.normal(size=(n_g, f))
+        agent.theta_l[0] = rng.integers(-3, 4, size=(n_l, f)) * 10.0
+        agent.theta_r[0] = rng.normal(scale=100.0)
+        params = agent.params_of(0)
+        prev = cr.SystemState(case["g"], case["l"], cr.CacheAction(case["prev_files"], f))
+        for _ in range(5):
+            agent.predraw([rng], np.arange(1))
+            mask_prev = prev.action.as_mask()[None]
+            mask = agent.select(0, np.array([prev.g]), np.array([prev.l]), mask_prev)
+            action = cr.CacheAction(tuple(int(x) + 1 for x in np.flatnonzero(mask[0])), f)
+            if not case["explore"]:
+                assert cr.greedy_top_m(params, prev, m) == action
+            nxt = cr.SystemState(int(rng.integers(n_g)), int(rng.integers(n_l)), action)
+            cost = float(rng.uniform(0.0, 2000.0))
+            refresh = np.array([cr.refresh_cost(action, prev.action, 1.0)])
+            agent.learn(0, np.array([nxt.g]), np.array([nxt.l]), np.array([cost]), refresh)
+            err = cr.linear_td_error(params, prev, action, nxt, cost, config.gamma)
+            params = cr.sgd_update(params, prev, action, err, config)
+            np.testing.assert_array_equal(agent.theta_g[0], params.theta_g)
+            np.testing.assert_array_equal(agent.theta_l[0], params.theta_l)
+            assert agent.theta_r[0] == params.theta_r
+            prev = nxt
+
+    @SETTINGS
+    @given(case=single_steps(max_f=12), visit_beta=st.booleans())
+    def test_exact_select_and_learn(self, case, visit_beta):
+        g_chain, l_chain, m, rng = case["g_chain"], case["l_chain"], case["m"], case["rng"]
+        space = cr.StateSpace(g_chain, l_chain, m)
+        config = cr.QLearnerConfig(
+            beta=VisitCountBeta() if visit_beta else 0.8,
+            epsilon=float(case["explore"]),
+            gamma=case["gamma"],
+        )
+        agent = BatchExactAgent(space, config)
+        agent.begin(1)
+        # few distinct values, so that argmin ties occur
+        agent.q[0] = rng.integers(0, 3, size=agent.q[0].shape) * 10.0
+        learner = cr.ExactQLearner(space, config)
+        learner.q[:] = agent.q[0]
+        lazy = np.random.default_rng(0)
+        g, l, a_prev = case["g"], case["l"], 0
+        for _ in range(3):
+            agent.predraw([rng], np.arange(1))
+            s_prev = space.state_index(g, l, a_prev)
+            mask = agent.select(0, np.array([g]), np.array([l]), None)
+            a = int(np.flatnonzero((space.action_masks == mask[0]).all(axis=1))[0])
+            if not case["explore"]:
+                assert learner.epsilon_greedy_action(s_prev, 0.0, lazy) == a
+            g, l = int(rng.integers(space.n_g)), int(rng.integers(space.n_l))
+            cost = float(rng.uniform(0.0, 2000.0))
+            agent.learn(0, np.array([g]), np.array([l]), np.array([cost]), None)
+            learner.td_update(s_prev, a, space.state_index(g, l, a), cost)
+            np.testing.assert_array_equal(agent.q[0], learner.q)
+            a_prev = a
+
+    @SETTINGS
+    @given(case=single_steps(max_f=12))
+    def test_aggregate_cost_is_the_engine_cost(self, case):
+        g_chain, l_chain, m, rng = case["g_chain"], case["l_chain"], case["m"], case["rng"]
+        f = g_chain.catalog_size
+        p_g, p_l = g_chain.states[0], l_chain.states[0]
+        prev = cr.SystemState(case["g"], case["l"], cr.CacheAction(case["prev_files"], f))
+        for _ in range(5):
+            files = tuple(int(x) + 1 for x in np.sort(rng.permutation(f)[:m]))
+            action = cr.CacheAction(files, f)
+            masks = (prev.action.as_mask()[None], action.as_mask()[None])
+            got = engine_cost(*masks, p_g.probs, p_l.probs, case["params"])
+            assert got == cr.aggregate_cost(prev, action, p_g, p_l, case["params"])

@@ -70,6 +70,15 @@ class TestTdUpdate:
         with pytest.raises(ValueError):
             learner.td_update(0, 0, 0, cost=float("nan"))
 
+    @pytest.mark.parametrize("beta", [5.0, 0.0, float("nan")])
+    def test_explicit_beta_checked_like_the_configured_one(self, small_space, beta):
+        learner = make_learner(small_space)
+        learner.q[1] = 4.0
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+            learner.td_update(0, 0, 1, cost=10.0, beta=beta)
+        assert learner.q[0, 0] == 0.0
+        assert learner.visits[0, 0] == 0
+
     def test_visit_count_beta_first_visit_replaces(self, small_space):
         learner = make_learner(small_space, beta=VisitCountBeta(), gamma=0.0)
         learner.td_update(0, 0, 1, cost=10.0)

@@ -173,6 +173,21 @@ class TestTdErrorAndSgd:
                           cr.LinearLearnerConfig(gamma=0.8))
 
 
+class TestLinearParams:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (float("nan"), "parameters must be finite"),
+            (float("inf"), "parameters must be finite"),
+            (True, "theta_r must not be a boolean"),
+            ("0.5", "theta_r must be a number"),
+        ],
+    )
+    def test_theta_r_checked_like_its_siblings(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            LinearParams(theta_g=np.zeros((1, 3)), theta_l=np.zeros((1, 3)), theta_r=bad)
+
+
 class TestLinearLearnerConfig:
     @pytest.mark.parametrize("name", ["alpha_g", "alpha_l", "alpha_r"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
