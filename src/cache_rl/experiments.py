@@ -68,8 +68,6 @@ PRESET_PARAMS = {
 SMALL_NET_PRESETS = ("s1", "s2", "s3", "s4", "s5", "s6")
 LARGE_NET_PRESETS = ("s7", "s8", "s9")
 
-DEFAULT_ORDERING_SEED = 12345
-DEFAULT_LARGE_NET_SEED = 20240
 # Semi-gradient SGD moves F - M entries of two score rows per slot, so the
 # induced Q-value step is about (alpha_g + alpha_l) * (F - M) times the TD
 # error; steps are stable only when that factor stays well below 1. The
@@ -81,16 +79,14 @@ GLOBAL_TRANSITION = ((0.8, 0.2), (0.75, 0.25))
 LOCAL_TRANSITION = ((0.6, 0.4), (0.2, 0.8))
 
 
-def small_network_chains(
-    catalog_size: int = 10, ordering_seed: int = DEFAULT_ORDERING_SEED
-) -> tuple[MarkovChain, MarkovChain]:
+def small_network_chains(catalog_size: int = 10) -> tuple[MarkovChain, MarkovChain]:
     """Reference two-state chains for the small network.
 
     Global states are Zipf(1.0) and Zipf(1.5); local states Zipf(0.7) and
     Zipf(2.5). Each state assigns the files an independent random ordering
-    drawn from ``ordering_seed``, so the chains are reproducible.
+    drawn from the fixed seed 12345, so the chains are reproducible.
     """
-    rng = np.random.default_rng(ordering_seed)
+    rng = np.random.default_rng(12345)
     g_states = tuple(
         zipf_profile(catalog_size, eta, rng.permutation(catalog_size) + 1)
         for eta in GLOBAL_ZIPF_EXPONENTS
@@ -104,23 +100,16 @@ def small_network_chains(
     return g_chain, l_chain
 
 
-def large_network_chains(
-    catalog_size: int = 1000,
-    n_g: int = 50,
-    n_l: int = 40,
-    seed: int = DEFAULT_LARGE_NET_SEED,
-) -> tuple[MarkovChain, MarkovChain]:
-    """Random many-state chains for the large network test.
+def large_network_chains() -> tuple[MarkovChain, MarkovChain]:
+    """Random chains for the large network: 50 global and 40 local states
+    over 1000 files, drawn from the fixed seed 20240.
 
     Transition rows are flat-Dirichlet draws; Zipf exponents are uniform
     over (2, 4) with an independent random file ordering per state.
     """
-    seq = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(20240)
     g_rng, l_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    return (
-        random_chain(n_g, catalog_size, g_rng),
-        random_chain(n_l, catalog_size, l_rng),
-    )
+    return random_chain(50, 1000, g_rng), random_chain(40, 1000, l_rng)
 
 
 @dataclass(frozen=True)

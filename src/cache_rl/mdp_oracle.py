@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class StateSpace:
         self.n_l = l_chain.n_states
         self.n_actions = len(self.action_files)
         self.n_states = self.n_g * self.n_l * self.n_actions
+        # An (|S|, |A|) float64 table must fit in physical memory; checked
+        # before the first (|A|, |A|) table is built.
+        table_bytes = 8 * self.n_states * self.n_actions
+        if table_bytes > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+            raise ValueError(f"the {self.n_states}-state Q table is too large to materialize")
         m = self.actions.m
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
@@ -155,6 +161,7 @@ def q_from_value(
     space: StateSpace, v: np.ndarray, gamma: float, params: CostParams
 ) -> np.ndarray:
     """State-action values implied by a state value function."""
+    gamma = as_discount(gamma)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (space.n_states,):
         raise ValueError("value function has wrong length")
@@ -236,6 +243,7 @@ def long_run_average_cost(
     on the small network has 9, and its cost from one start cache ranges from
     591.84 to 697.05 over the 45 caches.
     """
+    max_iter = as_int(max_iter, "max_iter", 1)
     nxt, c_pi = _policy_tables(space, policy, params)
     n_gl, n_a = nxt.shape
     dist = np.zeros((n_gl, n_a))

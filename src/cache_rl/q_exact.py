@@ -16,16 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp_oracle import StateSpace, relative_q_error
+from .mdp_oracle import StateSpace
 from .popularity import as_discount, as_int
 from .schedules import (
     EpsilonSchedule,
+    PiecewiseCostSchedule,
     VisitCountBeta,
     as_epsilon_schedule,
     validate_beta,
 )
-from .simulate import PopularityEnv, RunTrace, run_lockstep
-from .schedules import PiecewiseCostSchedule, as_cost_schedule
+from .simulate import LockstepLearner, PopularityEnv, RunTrace, run_single
 
 
 @dataclass(frozen=True)
@@ -96,46 +96,32 @@ class ExactQLearner:
         return float(self.q[s_prev, a])
 
 
-class BatchExactAgent:
+class BatchExactAgent(LockstepLearner):
     """Lockstep tabular learner driven by the simulation engine."""
 
     def __init__(self, space: StateSpace, config: QLearnerConfig):
+        super().__init__(space.cache_size, config)
         self.space = space
-        self.config = config
-        self.m = space.cache_size
         self.q: np.ndarray | None = None
         self._visits: np.ndarray | None = None
-        self._a_idx: np.ndarray | None = None
-        self._err_ref: tuple[np.ndarray, float] | None = None
-        self._eps: np.ndarray | None = None
-        self._u: np.ndarray | None = None
-        self._explore_a: np.ndarray | None = None
-        self._beta = 0.0
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def begin(self, n_realizations: int) -> None:
-        space = self.space
-        self.q = np.zeros((n_realizations, space.n_states, space.n_actions))
+        super().begin(n_realizations)
+        shape = (n_realizations, self.space.n_states, self.space.n_actions)
+        self.q = np.zeros(shape)
         if isinstance(self.config.beta, VisitCountBeta):
-            self._visits = np.zeros(
-                (n_realizations, space.n_states, space.n_actions), dtype=np.int64
-            )
+            self._visits = np.zeros(shape, dtype=np.int64)
         self._a_idx = np.zeros(n_realizations, dtype=np.int64)
-        self._r = np.arange(n_realizations)
 
     def predraw(self, rngs, ts) -> None:
-        n = ts.size
-        self._eps = self.config.epsilon.epsilon_array(ts + 1)
-        self._u = np.stack([rng.random(n) for rng in rngs])
-        self._explore_a = np.stack(
-            [rng.integers(0, self.space.n_actions, size=n) for rng in rngs]
-        )
+        super().predraw(rngs, ts)
+        n_a = self.space.n_actions
+        self._explore_a = np.stack([rng.integers(0, n_a, size=ts.size) for rng in rngs])
 
     def select(self, j, g, l_seen, mask_prev):
         space = self.space
         s_prev = space.state_indices(g, l_seen, self._a_idx)
-        explore = self._u[:, j] < self._eps[j]
-        a = np.where(explore, self._explore_a[:, j], greedy(self.q[self._r, s_prev]))
+        a = np.where(self.explores(j), self._explore_a[:, j], greedy(self.q[self._r, s_prev]))
         self._pending = (s_prev, a)
         return space.action_masks[a]
 
@@ -147,16 +133,9 @@ class BatchExactAgent:
         self._beta = tabular_step(self.q, self._visits, at, at_next, cost, gamma, beta)
         self._a_idx = a
 
-    def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
-        """Reference Q table over ``space``, the space the agent learns on."""
-        self._err_ref = (qstar, float(np.linalg.norm(qstar)))
-
-    def normalized_error(self) -> np.ndarray:
-        qstar, norm = self._err_ref
-        return np.array([relative_q_error(q, qstar, norm) for q in self.q])
-
-    def trace_epsilon(self, j) -> float:
-        return float(self._eps[j])
+    def q_table(self, r, space: StateSpace) -> np.ndarray:
+        """Realization r's table; ``space`` is the space the agent learns on."""
+        return self.q[r]
 
     def trace_beta(self, j) -> float:
         return float(np.asarray(self._beta).ravel()[0])
@@ -182,12 +161,5 @@ def run_exact(
     if space is None:
         space = StateSpace(env.g_chain, env.l_chain, cache_size)
     agent = BatchExactAgent(space, config)
-    result = run_lockstep(
-        env,
-        agent,
-        as_cost_schedule(cost_schedule),
-        horizon,
-        [rng],
-        collect_trace=True,
-    )
-    return ExactRunResult(trace=result.trace, q=agent.q[0], space=space)
+    trace = run_single(env, agent, cost_schedule, horizon, rng)
+    return ExactRunResult(trace=trace, q=agent.q[0], space=space)

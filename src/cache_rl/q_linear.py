@@ -28,20 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caching_core import CacheAction, SystemState, fetched_count, files_mask, write_table
-from .mdp_oracle import StateSpace, relative_q_error
+from .mdp_oracle import StateSpace
 from .popularity import as_discount, as_int, as_number
-from .schedules import (
-    EpsilonSchedule,
-    PiecewiseCostSchedule,
-    as_cost_schedule,
-    as_epsilon_schedule,
-)
+from .schedules import EpsilonSchedule, PiecewiseCostSchedule, as_epsilon_schedule
 from .simulate import (
     DivergenceError,
+    LockstepLearner,
     PopularityEnv,
     RunTrace,
     UniformActionDraws,
-    run_lockstep,
+    run_single,
 )
 
 
@@ -218,42 +214,35 @@ def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
     return _q_table(params.theta_g, params.theta_l, params.theta_r, space)
 
 
-class BatchLinearAgent:
+class BatchLinearAgent(LockstepLearner):
     """Lockstep linear learner driven by the simulation engine."""
 
     def __init__(self, n_g: int, n_l: int, f: int, m: int, config: LinearLearnerConfig):
+        super().__init__(m, config)
         self.n_g = n_g
         self.n_l = n_l
         self.f = f
-        self.m = m
-        self.config = config
         self._draws = UniformActionDraws(f, m)
         self.theta_g: np.ndarray | None = None
         self.theta_l: np.ndarray | None = None
         self.theta_r: np.ndarray | None = None
-        self._eps: np.ndarray | None = None
-        self._u: np.ndarray | None = None
-        self._ts: np.ndarray | None = None
-        self._pending = None
-        self._err_ref: tuple[np.ndarray, float, StateSpace] | None = None
 
     def begin(self, n_realizations: int) -> None:
+        super().begin(n_realizations)
         self.theta_g = np.zeros((n_realizations, self.n_g, self.f))
         self.theta_l = np.zeros((n_realizations, self.n_l, self.f))
         self.theta_r = np.zeros(n_realizations)
-        self._r = np.arange(n_realizations)
 
     def predraw(self, rngs, ts) -> None:
+        super().predraw(rngs, ts)
         self._ts = ts
-        self._eps = self.config.epsilon.epsilon_array(ts + 1)
-        self._u = np.stack([rng.random(ts.size) for rng in rngs])
         self._draws.draw(rngs, ts.size)
 
     def select(self, j, g, l_seen, mask_prev):
         with np.errstate(over="ignore", invalid="ignore"):
             psi_prev = self._scores(g, l_seen, mask_prev)
             top = top_m(psi_prev, self.m)
-            explore = self._u[:, j] < self._eps[j]
+            explore = self.explores(j)
             mask = files_mask(np.where(explore[:, None], self._draws.files[:, j], top), self.f)
             q_prev = cache_q(psi_prev, mask)
         self._pending = (g, l_seen, q_prev, mask)
@@ -283,17 +272,9 @@ class BatchLinearAgent:
             theta_r=float(self.theta_r[realization]),
         )
 
-    def set_error_reference(self, qstar: np.ndarray, space: StateSpace) -> None:
-        """Reference Q table over ``space``, a state space of this network."""
-        self._err_ref = (qstar, float(np.linalg.norm(qstar)), space)
-
-    def normalized_error(self) -> np.ndarray:
-        qstar, norm, space = self._err_ref
-        thetas = zip(self.theta_g, self.theta_l, self.theta_r)
-        return np.array([relative_q_error(_q_table(*t, space), qstar, norm) for t in thetas])
-
-    def trace_epsilon(self, j) -> float:
-        return float(self._eps[j])
+    def q_table(self, r, space: StateSpace) -> np.ndarray:
+        """Realization r's linear Q over ``space``, built from the raw theta arrays."""
+        return _q_table(self.theta_g[r], self.theta_l[r], self.theta_r[r], space)
 
     def trace_beta(self, j) -> float:
         return self.config.alpha_g
@@ -317,12 +298,5 @@ def run_linear(
     agent = BatchLinearAgent(
         env.g_chain.n_states, env.l_chain.n_states, env.catalog_size, cache_size, config
     )
-    result = run_lockstep(
-        env,
-        agent,
-        as_cost_schedule(cost_schedule),
-        horizon,
-        [rng],
-        collect_trace=True,
-    )
-    return LinearRunResult(trace=result.trace, params=agent.params_of(0))
+    trace = run_single(env, agent, cost_schedule, horizon, rng)
+    return LinearRunResult(trace=trace, params=agent.params_of(0))

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching_core import cached_mass, fetched_count, files_label, files_mask, write_table
+from .mdp_oracle import relative_q_error
 from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_states
-from .schedules import PiecewiseCostSchedule
+from .schedules import PiecewiseCostSchedule, as_cost_schedule
 
 CHUNK = 2048
 DRAW_ROWS = 256  # rows of uniforms per Generator call in UniformActionDraws
@@ -137,13 +138,18 @@ def run_lockstep(
     slots ``ts``, after the engine's own; ``select(j, g, l_seen, mask_prev)``
     returns the new cache as an (R, F) 0/1 mask with M ones per row;
     ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
-    outcome. ``normalized_error()`` -> (R,) is needed with ``error_slots``,
-    and ``trace_epsilon(j)`` and ``trace_beta(j)`` only with ``collect_trace``.
+    outcome. ``error_slots`` needs ``normalized_error()`` -> (R,), and
+    ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
+    :class:`LockstepLearner` has; an agent without them fails with ``ValueError`` at once.
     """
     horizon = as_int(horizon, "horizon", 1)
     n_real = len(rngs)
     if n_real < 1:
         raise ValueError("need at least one realization")
+    if error_slots is not None:
+        _require(agent, "error_slots", "normalized_error")
+    if collect_trace:
+        _require(agent, "collect_trace", "trace_epsilon", "trace_beta")
     n_g, n_l = env.g_chain.n_states, env.l_chain.n_states
     f = env.catalog_size
     m = agent.m
@@ -265,6 +271,56 @@ def run_lockstep(
         error_values=np.asarray(err_values) if err_slots is not None else None,
         trace=trace,
     )
+
+
+def _require(agent, option: str, *methods) -> None:
+    """Reject an agent that lacks a method that ``option`` calls."""
+    for method in methods:
+        if not hasattr(agent, method):
+            raise ValueError(f"{option} needs {method}(), which {type(agent).__name__} lacks")
+
+
+def run_single(env, agent, cost_schedule, horizon: int, rng: np.random.Generator) -> RunTrace:
+    """One realization of ``agent`` driven by ``rng``; returns its per-slot trace."""
+    schedule = as_cost_schedule(cost_schedule)
+    return run_lockstep(env, agent, schedule, horizon, [rng], collect_trace=True).trace
+
+
+class LockstepLearner:
+    """What both learning agents share: the realization index ``_r``, the
+    epsilon-greedy coins (drawn before a subclass's own draws), the Q-error
+    reference and the epsilon trace. A subclass adds ``select``, ``learn``,
+    ``trace_beta`` and ``q_table(r, space)``, realization r's Q over ``space``."""
+
+    def __init__(self, m: int, config):
+        self.m = m
+        self.config = config
+        self._err_ref = None
+
+    def begin(self, n_realizations: int) -> None:
+        self._r = np.arange(n_realizations)
+
+    def predraw(self, rngs, ts) -> None:
+        self._eps = self.config.epsilon.epsilon_array(ts + 1)
+        self._u = np.stack([rng.random(ts.size) for rng in rngs])
+
+    def explores(self, j) -> np.ndarray:
+        """Per realization, whether slot ``j`` of the chunk explores."""
+        return self._u[:, j] < self._eps[j]
+
+    def set_error_reference(self, qstar: np.ndarray, space) -> None:
+        """Reference Q table over ``space``, a state space of this network."""
+        self._err_ref = (qstar, float(np.linalg.norm(qstar)), space)
+
+    def normalized_error(self) -> np.ndarray:
+        """Per realization, ||Q - Q*||_F / ||Q*||_F against the reference."""
+        if self._err_ref is None:
+            raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
+        qstar, norm, space = self._err_ref
+        return np.array([relative_q_error(self.q_table(r, space), qstar, norm) for r in self._r])
+
+    def trace_epsilon(self, j) -> float:
+        return float(self._eps[j])
 
 
 def uniform_subsets(u: np.ndarray, m: int) -> np.ndarray:

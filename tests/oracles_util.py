@@ -12,7 +12,10 @@ solve, which keeps them usable up to a few thousand states.
 The per-slot references (``loop_cached_mass``, ``loop_slot_cost``,
 ``LoopExactLearner``, ``LoopLinearLearner``) restate the slot cost and both
 learners' steps one file and one table entry at a time in plain Python, for
-the differential tests that replay the lockstep engine slot by slot.
+the differential tests that replay the lockstep engine slot by slot. The
+linear learner's total score over the catalog goes through ``row_sum``,
+which restates numpy's summation order for a row, so that catalogs of 8 or
+more files compare bit for bit too.
 """
 
 from __future__ import annotations
@@ -22,12 +25,32 @@ import itertools
 import numpy as np
 
 
-def loop_sum(values):
-    """Left-to-right float sum, starting from 0.0."""
-    total = 0.0
+def loop_sum(values, total=0.0):
+    """Left-to-right float sum, starting from ``total``."""
     for x in values:
         total += x
     return total
+
+
+def row_sum(values):
+    """Sum of a whole row in numpy's order for a contiguous row, restated:
+    left to right below 8 terms; up to 128 terms, eight interleaved partial
+    sums combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and
+    then the last n % 8 terms left to right; above 128 terms, the two halves
+    (split at a multiple of 8) summed alike and added."""
+    values = list(values)
+    n = len(values)
+    if n < 8:
+        return loop_sum(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return row_sum(values[:half]) + row_sum(values[half:])
+    r = values[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        r = [r[k] + values[i + k] for k in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return loop_sum(values[tail:], head)
 
 
 def loop_cached_mass(files, probs):
@@ -107,8 +130,9 @@ class LoopLinearLearner:
         return tuple(sorted(i + 1 for i in top))
 
     def q(self, state, files):
+        """The row's total score (summed as numpy sums a row) minus the cached files' scores."""
         score = self.scores(state)
-        return loop_sum(score) - loop_sum(score[i - 1] for i in sorted(files))
+        return row_sum(score) - loop_sum(score[i - 1] for i in sorted(files))
 
     def min_q(self, state):
         """Minimum of ``q`` over every M-file cache."""

@@ -82,6 +82,14 @@ class TestActionSpace:
         with pytest.raises(ValueError, match="too large to materialize"):
             cr.StateSpace(*cr.large_network_chains(), 10)
 
+    def test_state_space_rejects_tables_beyond_physical_memory(self):
+        # |A| = C(30, 5) = 142 506 passes the action limit, but one (|S|, |A|)
+        # float64 table would take 8 * 4 * 142 506**2 B, about 605 GiB
+        assert math.comb(30, 5) < MATERIALIZE_LIMIT
+        with pytest.raises(ValueError, match="570024-state Q table is too large to materialize"):
+            cr.StateSpace(*cr.small_network_chains(30), 5)
+        assert cr.StateSpace(*cr.small_network_chains(20), 3).n_states == 4560
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             cr.enumerate_actions(3, 0)
@@ -286,6 +294,8 @@ INTEGER_HOLES = {
         lambda sp, sc: cr.greedy_top_m(cr.LinearParams.zeros(2, 2, 10), state(0, 0), 2.5),
         "cache capacity",
     ),
+    "long_run_average_cost-max_iter": (lambda sp, sc: long_run(sp, 2.5), "max_iter"),
+    "long_run_average_cost-bool-max_iter": (lambda sp, sc: long_run(sp, True), "max_iter"),
 }
 
 
@@ -297,6 +307,11 @@ def lockstep(sc, horizon):
 
 def learner(sp):
     return cr.ExactQLearner(sp, cr.QLearnerConfig())
+
+
+def long_run(sp, max_iter):
+    policy = np.zeros(sp.n_states, dtype=np.int64)
+    return cr.long_run_average_cost(sp, policy, cr.CostParams(1, 1, 1), max_iter=max_iter)
 
 
 def state(g, l):
@@ -376,6 +391,9 @@ OUT_OF_RANGE = {
         "requests_per_slot must be >= 1, got 0",
     ),
     "run_lockstep-horizon": (lambda sp, sc: lockstep(sc, 0), "horizon must be >= 1, got 0"),
+    "long_run_average_cost-max_iter": (
+        lambda sp, sc: long_run(sp, -1), "max_iter must be >= 1, got -1"
+    ),
     "run_scenario-error_slots": (
         lambda sp, sc: cr.run_scenario(sc, oracle_compare=True, error_slots=[3, 20]),
         "error slot must lie in [0, 20), got 20",

@@ -105,6 +105,19 @@ def test_large_network_oracle_exits_2(tmp_path, capsys, argv):
     assert "too large to materialize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["oracle"], ["run", "--oracle-compare"]])
+def test_oracle_beyond_physical_memory_exits_2(tmp_path, capsys, argv):
+    g_chain, l_chain = cr.small_network_chains(30)
+    sc = cr.preset_scenario("s1", horizon=50, realizations=1)
+    sc = cr.scenario_with(sc, g_chain=g_chain, l_chain=l_chain, cache_size=5)
+    sc_path = tmp_path / "f30m5.json"
+    sc_path.write_text(cr.scenario_to_json(sc))
+    assert main(argv + ["--scenario", str(sc_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "too large to materialize" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_rejects_dynamic(capsys):
     assert main(["oracle", "--scenario", "dynamic", "--out", "x"]) == 2
     assert "constant" in capsys.readouterr().err

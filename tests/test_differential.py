@@ -32,7 +32,13 @@ from cache_rl import simulate
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.q_linear import BatchLinearAgent
 from cache_rl.schedules import VisitCountBeta
-from oracles_util import LoopExactLearner, LoopLinearLearner, loop_cached_mass, loop_slot_cost
+from oracles_util import (
+    LoopExactLearner,
+    LoopLinearLearner,
+    loop_cached_mass,
+    loop_slot_cost,
+    row_sum,
+)
 
 SETTINGS = settings(
     max_examples=100,
@@ -302,6 +308,14 @@ class TestEngineAgainstManualLoop:
             manual_run(inst, r, draws, choose, lambda *args: None) for r in range(inst["n_real"])
         ]
         assert_same_aggregates(result, per_real)
+
+
+@SETTINGS
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_row_sum_is_numpy_row_order(n, seed):
+    """The loop reference's ``row_sum`` adds a row's terms as numpy does."""
+    row = np.random.default_rng(seed).normal(scale=100.0, size=(1, n))
+    assert row_sum(row[0].tolist()) == row.sum(axis=-1)[0]
 
 
 @st.composite

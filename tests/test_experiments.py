@@ -5,7 +5,7 @@ import pytest
 
 import cache_rl as cr
 from cache_rl.q_exact import BatchExactAgent
-from cache_rl.q_linear import LinearParams
+from cache_rl.q_linear import BatchLinearAgent, LinearParams
 from cache_rl.simulate import realization_rng
 
 
@@ -289,6 +289,45 @@ class TestRunScenario:
         assert np.all((trace.hit_fraction >= 0) & (trace.hit_fraction <= 1))
         # realized count ratios are multiples of 1/5
         np.testing.assert_allclose((trace.hit_fraction * 5) % 1, 0, atol=1e-9)
+
+
+class TestAgentContract:
+    """``run_lockstep`` asks an agent for ``normalized_error`` (with
+    ``error_slots``) and ``trace_epsilon``/``trace_beta`` (with
+    ``collect_trace``) only if it has them, and says so before the first slot."""
+
+    @staticmethod
+    def run(agent, **options):
+        sc = cr.preset_scenario("s1", horizon=5, realizations=1)
+        rngs = [realization_rng(0, 0)]
+        return cr.simulate.run_lockstep(sc.env(), agent, sc.lambda_schedule, 5, rngs, **options)
+
+    @pytest.mark.parametrize("kind", ["random-baseline", "oracle-policy"])
+    @pytest.mark.parametrize(
+        "options, method",
+        [(dict(collect_trace=True), "trace_epsilon"), (dict(error_slots=[2]), "normalized_error")],
+    )
+    def test_non_learner_rejected_before_first_select(self, small_space, kind, options, method):
+        if kind == "random-baseline":
+            agent = cr.simulate.RandomBaselineAgent(10, 2)
+        else:
+            agent = cr.simulate.OraclePolicyAgent(small_space, np.zeros(180, dtype=np.int64))
+        selected = []
+        select = agent.select
+        agent.select = lambda *args: selected.append(1) or select(*args)
+        name = type(agent).__name__
+        with pytest.raises(ValueError, match=f"needs {method}\\(\\), which {name} lacks"):
+            self.run(agent, **options)
+        assert selected == []
+
+    @pytest.mark.parametrize("kind", ["exact", "linear"])
+    def test_learner_without_error_reference(self, small_space, kind):
+        if kind == "exact":
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        else:
+            agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        with pytest.raises(ValueError, match="call set_error_reference"):
+            self.run(agent, error_slots=[2])
 
 
 class TestMetricsHelpers:

@@ -257,6 +257,16 @@ class TestBellmanResidual:
         resid = cr.bellman_optimality_residual(small_space, q, 0.8, params)
         assert resid > 1e-5
 
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, -0.1, float("nan"), True])
+    def test_gamma_outside_the_discount_range_raises(self, small_space, gamma):
+        # q_from_value used to take any gamma: 1.5 gave a residual of 1516.4, NaN gave nan
+        q = np.zeros((small_space.n_states, small_space.n_actions))
+        params = cr.PRESET_PARAMS["s1"]
+        with pytest.raises(ValueError, match="gamma"):
+            cr.bellman_optimality_residual(small_space, q, gamma, params)
+        with pytest.raises(ValueError, match="gamma"):
+            cr.q_from_value(small_space, np.zeros(small_space.n_states), gamma, params)
+
 
 class TestAverageCostAndExport:
     def test_long_run_average_matches_simulation(self, small_net, small_space):

@@ -5,6 +5,7 @@ import cache_rl as cr
 from cache_rl.caching_core import aggregate_cost
 from cache_rl.schedules import ExploreThenInverseDecay, VisitCountBeta
 from cache_rl.simulate import CHUNK, realization_rng
+from oracles_util import LoopExactLearner, loop_slot_cost
 
 
 def make_learner(space, **kwargs):
@@ -166,8 +167,8 @@ class TestRunExact:
 
 class TestEngineMatchesReferenceSemantics:
     def test_lockstep_equals_manual_loop(self, small_net, small_space):
-        """Replay the engine's documented draw order through the public
-        single-step learner API and demand bit-identical results."""
+        """Replay the engine's documented draw order through the plain-Python
+        loop reference and demand bit-identical costs and Q."""
         g_chain, l_chain = small_net
         env = cr.PopularityEnv(g_chain=g_chain, l_chain=l_chain)
         params = cr.CostParams(10, 600, 1000)
@@ -187,27 +188,22 @@ class TestEngineMatchesReferenceSemantics:
         explore_a = rng.integers(0, n_a, size=horizon)
         cum_g = np.cumsum(g_chain.transition, axis=1)
         cum_l = np.cumsum(l_chain.transition, axis=1)
-        learner = cr.ExactQLearner(space, config)
+        learner = LoopExactLearner(space.n_states, n_a, gamma=0.8, beta=0.8)
+        files = [[x + 1 for x in row] for row in space.action_files.tolist()]
         a_prev = 0
         costs = []
         for t in range(horizon):
             s_prev = space.state_index(g, l, a_prev)
-            greedy = int(np.argmin(learner.q[s_prev]))
-            a = int(explore_a[t]) if u_eps[t] < 0.1 else greedy
+            a = int(explore_a[t]) if u_eps[t] < 0.1 else learner.greedy(s_prev)
             g = int((cum_g[g] <= u_g[t]).sum())
             l = int((cum_l[l] <= u_l[t]).sum())
-            prev_state = cr.SystemState(g=space.state_components(s_prev)[0],
-                                        l=space.state_components(s_prev)[1],
-                                        action=space.actions.action(a_prev))
-            cost = aggregate_cost(
-                prev_state, space.actions.action(a), g_chain.states[g], l_chain.states[l], params
-            )
-            s_next = space.state_index(g, l, a)
-            learner.td_update(s_prev, a, s_next, cost)
+            p_g, p_l = g_chain.states[g], l_chain.states[l]
+            cost = loop_slot_cost(files[a_prev], files[a], p_g, p_l, params)
+            learner.update(s_prev, a, space.state_index(g, l, a), cost)
             costs.append(cost)
             a_prev = a
         np.testing.assert_array_equal(result.trace.costs, np.asarray(costs))
-        np.testing.assert_array_equal(result.q, learner.q)
+        np.testing.assert_array_equal(result.q, np.array(learner.q))
 
 
 class TestConvergence:

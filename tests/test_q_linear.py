@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
-from cache_rl.caching_core import aggregate_cost
 from cache_rl.q_linear import BatchLinearAgent, LinearParams
 from cache_rl.simulate import CHUNK, DivergenceError, realization_rng
+from oracles_util import LoopLinearLearner, loop_slot_cost
 
 
 def state(g, l, files, f):
@@ -296,6 +296,10 @@ class TestRunLinear:
 
 class TestEngineMatchesReferenceSemantics:
     def test_lockstep_equals_manual_loop(self, small_net):
+        """Replay the engine's documented draw order through the plain-Python
+        loop reference and demand bit-identical costs and parameters. With
+        M = 2 the reference's min over next caches is one addition, as in
+        ``test_differential``."""
         g_chain, l_chain = small_net
         env = cr.PopularityEnv(g_chain=g_chain, l_chain=l_chain)
         params = cr.CostParams(10, 600, 1000)
@@ -313,30 +317,26 @@ class TestEngineMatchesReferenceSemantics:
         u_l = rng.random(horizon)
         u_eps = rng.random(horizon)
         rand_u = rng.random((horizon, f))
-        rand_files = np.sort(np.argpartition(rand_u, m - 1, axis=1)[:, :m], axis=1)
+        rand_files = np.sort(np.argpartition(rand_u, m - 1, axis=1)[:, :m], axis=1) + 1
         cum_g = np.cumsum(g_chain.transition, axis=1)
         cum_l = np.cumsum(l_chain.transition, axis=1)
-        p = LinearParams.zeros(g_chain.n_states, l_chain.n_states, f)
-        prev_action = cr.CacheAction(files=(1, 2), catalog_size=f)
+        learner = LoopLinearLearner(g_chain.n_states, l_chain.n_states, f, m, config)
+        prev = state(g, l, (1, 2), f)
         costs = []
         for t in range(horizon):
-            s_prev = cr.SystemState(g=g, l=l, action=prev_action)
-            if u_eps[t] < eps:
-                act = cr.CacheAction(files=tuple(rand_files[t] + 1), catalog_size=f)
-            else:
-                act = cr.greedy_top_m(p, s_prev, m)
+            files = tuple(rand_files[t].tolist()) if u_eps[t] < eps else learner.top_m(prev)
             g = int((cum_g[g] <= u_g[t]).sum())
             l = int((cum_l[l] <= u_l[t]).sum())
-            cost = aggregate_cost(s_prev, act, g_chain.states[g], l_chain.states[l], params)
-            s_next = cr.SystemState(g=g, l=l, action=act)
-            err = cr.linear_td_error(p, s_prev, act, s_next, cost, 0.8)
-            p = cr.sgd_update(p, s_prev, act, err, config)
+            p_g, p_l = g_chain.states[g], l_chain.states[l]
+            cost = loop_slot_cost(prev.action.files, files, p_g, p_l, params)
+            nxt = state(g, l, files, f)
+            learner.update(prev, files, nxt, cost)
             costs.append(cost)
-            prev_action = act
+            prev = nxt
         np.testing.assert_allclose(result.trace.costs, np.asarray(costs), rtol=0, atol=0)
-        np.testing.assert_allclose(result.params.theta_g, p.theta_g, rtol=0, atol=0)
-        np.testing.assert_allclose(result.params.theta_l, p.theta_l, rtol=0, atol=0)
-        assert result.params.theta_r == p.theta_r
+        np.testing.assert_allclose(result.params.theta_g, learner.theta_g, rtol=0, atol=0)
+        np.testing.assert_allclose(result.params.theta_l, learner.theta_l, rtol=0, atol=0)
+        assert result.params.theta_r == learner.theta_r
 
 
 class TestConvergenceSmall:
