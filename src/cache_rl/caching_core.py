@@ -31,7 +31,8 @@ MATERIALIZE_LIMIT = 200_000
 def files_mask(files: np.ndarray, f: int) -> np.ndarray:
     """0/1 masks of length F with ones at the 0-based ``files`` on the last axis."""
     mask = np.zeros(files.shape[:-1] + (f,))
-    np.put_along_axis(mask, files, 1.0, axis=-1)
+    rows = files.reshape(-1, files.shape[-1])
+    mask.reshape(-1, f)[np.arange(len(rows))[:, None], rows] = 1.0
     return mask
 
 

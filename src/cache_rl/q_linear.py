@@ -40,6 +40,10 @@ from .simulate import (
     run_single,
 )
 
+# rows this short are sorted outright: a stable sort of at most 16 entries
+# costs less than the partition and the scans of top_m's O(F) path
+SORT_FILES = 16
+
 
 @dataclass(frozen=True)
 class LinearLearnerConfig:
@@ -115,8 +119,22 @@ def scores(theta_g, theta_l, theta_r, at_g, at_l, mask):
 
 
 def top_m(psi_rows, m):
-    """0-based files of the M largest scores in each row, ties to the lowest index."""
-    return np.argsort(-psi_rows, axis=-1, kind="stable")[..., :m]
+    """0-based files of the M largest scores in each row, ties to the lowest index.
+
+    Each row's files are the set ``np.argsort(-row, kind="stable")[:m]``
+    (NaN ranks lowest), in no fixed order. Rows longer than ``SORT_FILES``
+    find it in O(F): the files at or above the M-th largest score, where a
+    row holds exactly M of them. Rows tied at that boundary, or short of M
+    non-NaN scores, take the stable sort, those rows alone.
+    """
+    if psi_rows.shape[-1] <= SORT_FILES:
+        return np.argsort(-psi_rows, axis=-1, kind="stable")[..., :m]
+    top = psi_rows >= -np.partition(-psi_rows, m - 1, axis=-1)[..., m - 1 : m]
+    tied = top.sum(axis=-1) != m
+    if tied.any():
+        ranked = np.argsort(-psi_rows[tied], axis=-1, kind="stable")[..., :m]
+        top[tied] = files_mask(ranked, top.shape[-1])
+    return np.nonzero(top)[-1].reshape(top.shape[:-1] + (m,))
 
 
 def cache_q(psi_rows, mask):
@@ -159,8 +177,8 @@ def q_hat(params: LinearParams, state: SystemState, a_next: CacheAction) -> floa
 def greedy_top_m(params: LinearParams, state: SystemState, m: int) -> CacheAction:
     """The M files with the largest psi entries (ties to the lowest index).
 
-    Equals the argmin of ``q_hat`` over all C(F, M) actions, found by a
-    sort instead of a search.
+    Equals the argmin of ``q_hat`` over all C(F, M) actions, found by
+    ``top_m`` (a partition, or a sort of a short row) instead of a search.
     """
     f = params.catalog_size
     m = as_int(m, "cache capacity", 1, f + 1)
@@ -218,11 +236,11 @@ class BatchLinearAgent(LockstepLearner):
     """Lockstep linear learner driven by the simulation engine."""
 
     def __init__(self, n_g: int, n_l: int, f: int, m: int, config: LinearLearnerConfig):
-        super().__init__(m, config)
+        self._draws = UniformActionDraws(f, m)
+        super().__init__(self._draws.m, config)
         self.n_g = n_g
         self.n_l = n_l
-        self.f = f
-        self._draws = UniformActionDraws(f, m)
+        self.f = self._draws.f
         self.theta_g: np.ndarray | None = None
         self.theta_l: np.ndarray | None = None
         self.theta_r: np.ndarray | None = None
@@ -239,11 +257,13 @@ class BatchLinearAgent(LockstepLearner):
         self._draws.draw(rngs, ts.size)
 
     def select(self, j, g, l_seen, mask_prev):
+        explore = self.explores(j)
         with np.errstate(over="ignore", invalid="ignore"):
             psi_prev = self._scores(g, l_seen, mask_prev)
-            top = top_m(psi_prev, self.m)
-            explore = self.explores(j)
-            mask = files_mask(np.where(explore[:, None], self._draws.files[:, j], top), self.f)
+            files = self._draws.files[:, j]
+            if not explore.all():
+                files = np.where(explore[:, None], files, top_m(psi_prev, self.m))
+            mask = files_mask(files, self.f)
             q_prev = cache_q(psi_prev, mask)
         self._pending = (g, l_seen, q_prev, mask)
         return mask

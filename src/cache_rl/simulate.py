@@ -133,14 +133,18 @@ def run_lockstep(
     lists slots after which ``agent.normalized_error()`` is sampled.
 
     Agent contract (arrays have one row per realization; j is the slot's
-    offset in its chunk): ``m`` is the cache capacity; ``begin(R)`` resets;
-    ``predraw(rngs, ts)`` makes the agent's draws for the chunk of 0-based
-    slots ``ts``, after the engine's own; ``select(j, g, l_seen, mask_prev)``
-    returns the new cache as an (R, F) 0/1 mask with M ones per row;
-    ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
-    outcome. ``error_slots`` needs ``normalized_error()`` -> (R,), and
-    ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
-    :class:`LockstepLearner` has; an agent without them fails with ``ValueError`` at once.
+    offset in its chunk): ``m`` is the cache capacity; ``f`` (or
+    ``space.catalog_size``) is the catalog size and must be the
+    environment's; ``begin(R)`` resets; ``predraw(rngs, ts)`` makes the
+    agent's draws for the chunk of 0-based slots ``ts``, after the engine's
+    own; ``select(j, g, l_seen, mask_prev)`` returns the new cache as an
+    (R, F) 0/1 mask with M ones per row; ``learn(j, g_next, l_next_seen,
+    cost, refresh)`` sees the slot's outcome. ``error_slots`` needs
+    ``normalized_error()`` -> (R,), and ``collect_trace`` needs
+    ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
+    :class:`LockstepLearner` has. An agent with another catalog, or without
+    a method that an option needs, fails with ``ValueError`` before the
+    first slot.
     """
     horizon = as_int(horizon, "horizon", 1)
     n_real = len(rngs)
@@ -150,8 +154,11 @@ def run_lockstep(
         _require(agent, "error_slots", "normalized_error")
     if collect_trace:
         _require(agent, "collect_trace", "trace_epsilon", "trace_beta")
-    n_g, n_l = env.g_chain.n_states, env.l_chain.n_states
     f = env.catalog_size
+    catalog = agent.space.catalog_size if hasattr(agent, "space") else agent.f
+    if catalog != f:
+        raise ValueError(f"{type(agent).__name__} caches from {catalog} files; the env has {f}")
+    n_g, n_l = env.g_chain.n_states, env.l_chain.n_states
     m = agent.m
     g_profiles = env.g_chain.profile_matrix()
     l_profiles = env.l_chain.profile_matrix()
@@ -210,6 +217,7 @@ def run_lockstep(
             ll = next_states(cum_l[ll], u_l[:, j])
             g_path[:, j] = gg
             l_path[:, j] = ll
+        del u_g, u_l
         counts = None
         if empirical:
             counts = np.stack(
@@ -256,6 +264,7 @@ def run_lockstep(
             l = l_next
             l_seen = l_next_seen
             mask_prev = mask
+        del g_path, l_path, counts
 
     for w, (a, b) in enumerate(windows):
         win_cost[:, w] /= b - a
@@ -336,8 +345,8 @@ class UniformActionDraws:
     """Chunked sampling of :func:`uniform_subsets`, one per slot per realization."""
 
     def __init__(self, f: int, m: int):
-        self.f = f
-        self.m = m
+        self.f = as_int(f, "catalog size", 1)
+        self.m = as_int(m, "cache capacity", 1, self.f + 1)
         self.files: np.ndarray | None = None  # (R, n, M), unordered within a row
 
     def draw(self, rngs, n: int) -> None:
@@ -356,8 +365,9 @@ class RandomBaselineAgent:
     """Caches a fresh uniform random M-subset every slot; never learns."""
 
     def __init__(self, f: int, m: int):
-        self.m = m
         self._draws = UniformActionDraws(f, m)
+        self.f = self._draws.f
+        self.m = self._draws.m
 
     def begin(self, n_realizations: int) -> None:
         pass

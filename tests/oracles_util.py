@@ -100,6 +100,16 @@ class LoopExactLearner:
         self.visits[s][a] += 1
 
 
+def loop_top_m(score, m):
+    """0-based files of the M highest ``score`` entries, ascending: files in
+    (-score, index) order, a NaN score ranking below every number."""
+    def rank(i):
+        return (1, 0.0, i) if score[i] != score[i] else (0, -score[i], i)
+
+    order = sorted(range(len(score)), key=rank)
+    return tuple(sorted(order[:m]))
+
+
 class LoopLinearLearner:
     """The linear top-M learner, one file at a time.
 
@@ -125,9 +135,7 @@ class LoopLinearLearner:
 
     def top_m(self, state):
         """The M highest-scoring files (1-based, ascending), ties to the lowest index."""
-        score = self.scores(state)
-        top = sorted(range(self.f), key=lambda i: (-score[i], i))[: self.m]
-        return tuple(sorted(i + 1 for i in top))
+        return tuple(i + 1 for i in loop_top_m(self.scores(state), self.m))
 
     def q(self, state, files):
         """The row's total score (summed as numpy sums a row) minus the cached files' scores."""

@@ -206,7 +206,7 @@ def test_criterion_5_hit_rate_ordering(small_setup):
 
 
 def test_criterion_6_top_m_equivalence():
-    """Sort-based greedy equals exhaustive argmin over every action space."""
+    """Top-M greedy (``greedy_top_m``) equals exhaustive argmin over every action space."""
     rng = np.random.default_rng(7)
     checked = 0
     mismatches = 0

@@ -296,6 +296,13 @@ INTEGER_HOLES = {
     ),
     "long_run_average_cost-max_iter": (lambda sp, sc: long_run(sp, 2.5), "max_iter"),
     "long_run_average_cost-bool-max_iter": (lambda sp, sc: long_run(sp, True), "max_iter"),
+    "BatchLinearAgent-m": (lambda sp, sc: linear_agent(2.5), "cache capacity"),
+    "RandomBaselineAgent-m": (
+        lambda sp, sc: cr.simulate.RandomBaselineAgent(10, 2.5), "cache capacity"
+    ),
+    "RandomBaselineAgent-f": (
+        lambda sp, sc: cr.simulate.RandomBaselineAgent(10.5, 2), "catalog size"
+    ),
 }
 
 
@@ -303,6 +310,10 @@ def lockstep(sc, horizon):
     agent = cr.simulate.RandomBaselineAgent(10, 2)
     rngs = [np.random.default_rng(0)]
     return cr.simulate.run_lockstep(sc.env(), agent, sc.lambda_schedule, horizon, rngs)
+
+
+def linear_agent(m):
+    return cr.q_linear.BatchLinearAgent(2, 2, 10, m, cr.LinearLearnerConfig())
 
 
 def learner(sp):
@@ -397,6 +408,20 @@ OUT_OF_RANGE = {
     "run_scenario-error_slots": (
         lambda sp, sc: cr.run_scenario(sc, oracle_compare=True, error_slots=[3, 20]),
         "error slot must lie in [0, 20), got 20",
+    ),
+    "BatchLinearAgent-m-high": (
+        lambda sp, sc: linear_agent(11), "cache capacity must lie in [1, 11), got 11"
+    ),
+    "BatchLinearAgent-m-low": (
+        lambda sp, sc: linear_agent(0), "cache capacity must lie in [1, 11), got 0"
+    ),
+    "RandomBaselineAgent-m-low": (
+        lambda sp, sc: cr.simulate.RandomBaselineAgent(10, 0),
+        "cache capacity must lie in [1, 11), got 0",
+    ),
+    "UniformActionDraws-m-high": (
+        lambda sp, sc: cr.simulate.UniformActionDraws(10, 11),
+        "cache capacity must lie in [1, 11), got 11",
     ),
 }
 

@@ -350,6 +350,7 @@ def engine_cost(mask_prev, mask, p_g, p_l, params):
 
     class Replay:
         m = int(mask.sum())
+        f = mask.shape[-1]
 
         def begin(self, n):
             pass

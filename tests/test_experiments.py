@@ -320,6 +320,26 @@ class TestAgentContract:
             self.run(agent, **options)
         assert selected == []
 
+    @pytest.mark.parametrize("kind", ["random-baseline", "linear", "exact"])
+    def test_catalog_mismatch_rejected_before_begin(self, small_space, kind):
+        """A 12-file agent on the 10-file network, or a 10-file tabular agent
+        on a 12-file network."""
+        sc = cr.preset_scenario("s1", horizon=5, realizations=1)
+        env, f = sc.env(), 12
+        if kind == "random-baseline":
+            agent = cr.simulate.RandomBaselineAgent(12, 2)
+        elif kind == "linear":
+            agent = BatchLinearAgent(2, 2, 12, 2, cr.LinearLearnerConfig())
+        else:
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+            env, f = cr.PopularityEnv(*cr.small_network_chains(12)), 10
+        begun = []
+        agent.begin = begun.append
+        message = f"{type(agent).__name__} caches from {f} files; the env has {env.catalog_size}"
+        with pytest.raises(ValueError, match=message):
+            cr.simulate.run_lockstep(env, agent, sc.lambda_schedule, 5, [realization_rng(0, 0)])
+        assert begun == []
+
     @pytest.mark.parametrize("kind", ["exact", "linear"])
     def test_learner_without_error_reference(self, small_space, kind):
         if kind == "exact":

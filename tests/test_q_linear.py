@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cache_rl as cr
-from cache_rl.q_linear import BatchLinearAgent, LinearParams
+from cache_rl.q_linear import BatchLinearAgent, LinearParams, top_m
 from cache_rl.simulate import CHUNK, DivergenceError, realization_rng
-from oracles_util import LoopLinearLearner, loop_slot_cost
+from oracles_util import LoopLinearLearner, loop_slot_cost, loop_top_m
 
 
 def state(g, l, files, f):
@@ -95,6 +97,57 @@ class TestGreedyTopM:
             )
             assert cr.q_hat(p, s, fast) == pytest.approx(cr.q_hat(p, s, best))
             assert fast.files == best.files
+
+
+SPECIAL_SCORES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def score_rows(draw):
+    """(R, F) score rows and an M: normal scores, few distinct values, all
+    tied, or special values (signed zeros, +-inf, NaN) mixed with numbers.
+    Rows of up to SORT_FILES files are sorted outright; 17, 64 and 1000
+    files take the partition path."""
+    r = draw(st.sampled_from((1, 3, 200)))
+    f = draw(st.sampled_from((*range(2, 13), 17, 64, 1000)))
+    m = draw(st.integers(1, f))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("normal", "few", "tied", "special")))
+    if kind == "normal":
+        rows = rng.normal(size=(r, f))
+    elif kind == "few":
+        rows = rng.integers(0, draw(st.integers(1, 4)), size=(r, f)).astype(np.float64)
+    elif kind == "tied":
+        rows = np.full((r, f), draw(st.sampled_from(SPECIAL_SCORES)))
+    else:
+        pool = draw(st.lists(st.sampled_from(SPECIAL_SCORES), min_size=1, max_size=5))
+        rows = np.where(rng.random((r, f)) < 0.5, rng.choice(pool, size=(r, f)), rng.normal(size=(r, f)))
+    return rows, m
+
+
+class TestTopMKernel:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=score_rows())
+    def test_same_files_as_the_loop_reference(self, case):
+        """Each row holds M distinct files, the set that the (-score, index)
+        order of the loop reference ranks first, as one row or a batch."""
+        rows, m = case
+        files = top_m(rows, m)
+        assert files.shape == (rows.shape[0], m)
+        for row, got in zip(rows, files):
+            expected = loop_top_m(row.tolist(), m)
+            assert len(set(got.tolist())) == m
+            assert tuple(sorted(got.tolist())) == expected
+        assert tuple(sorted(top_m(rows[0], m).tolist())) == loop_top_m(rows[0].tolist(), m)
+        if np.isfinite(rows[0]).all():
+            p = LinearParams(theta_g=rows[:1], theta_l=np.zeros((1, rows.shape[1])), theta_r=0.0)
+            greedy = cr.greedy_top_m(p, state(0, 0, (1,), rows.shape[1]), m)
+            assert greedy.files == tuple(i + 1 for i in loop_top_m(rows[0].tolist(), m))
 
 
 class TestTdErrorAndSgd:
@@ -300,13 +353,25 @@ class TestEngineMatchesReferenceSemantics:
         loop reference and demand bit-identical costs and parameters. With
         M = 2 the reference's min over next caches is one addition, as in
         ``test_differential``."""
+        self.replay(small_net, 0.15)
+
+    def test_lockstep_equals_manual_loop_explore_then_decay(self, small_net):
+        """The same replay with epsilon = 1 for the first 61 slots, where
+        ``select`` skips the greedy choice, and greedy slots after them."""
+        eps = cr.ExploreThenInverseDecay(t_explore=60)
+        explores = eps.epsilon_array(np.arange(1, 301)) == 1.0
+        assert explores[:61].all() and not explores[61:].any()
+        self.replay(small_net, eps)
+
+    @staticmethod
+    def replay(small_net, epsilon):
         g_chain, l_chain = small_net
         env = cr.PopularityEnv(g_chain=g_chain, l_chain=l_chain)
         params = cr.CostParams(10, 600, 1000)
         horizon = 300
         assert horizon <= CHUNK
-        eps = 0.15
-        config = cr.LinearLearnerConfig(epsilon=eps, gamma=0.8)
+        config = cr.LinearLearnerConfig(epsilon=epsilon, gamma=0.8)
+        eps = config.epsilon.epsilon_array(np.arange(1, horizon + 1))
         result = cr.run_linear(env, 2, params, config, horizon, realization_rng(21, 0))
 
         f, m = 10, 2
@@ -324,7 +389,7 @@ class TestEngineMatchesReferenceSemantics:
         prev = state(g, l, (1, 2), f)
         costs = []
         for t in range(horizon):
-            files = tuple(rand_files[t].tolist()) if u_eps[t] < eps else learner.top_m(prev)
+            files = tuple(rand_files[t].tolist()) if u_eps[t] < eps[t] else learner.top_m(prev)
             g = int((cum_g[g] <= u_g[t]).sum())
             l = int((cum_l[l] <= u_l[t]).sum())
             p_g, p_l = g_chain.states[g], l_chain.states[l]
