@@ -121,7 +121,8 @@ def score_rows(draw):
         rows = np.full((r, f), draw(st.sampled_from(SPECIAL_SCORES)))
     else:
         pool = draw(st.lists(st.sampled_from(SPECIAL_SCORES), min_size=1, max_size=5))
-        rows = np.where(rng.random((r, f)) < 0.5, rng.choice(pool, size=(r, f)), rng.normal(size=(r, f)))
+        special = rng.choice(pool, size=(r, f))
+        rows = np.where(rng.random((r, f)) < 0.5, special, rng.normal(size=(r, f)))
     return rows, m
 
 
