@@ -4,7 +4,7 @@ A small basestation holds M of F catalog files; local and global content
 popularity each follow a finite Markov chain. The package provides the slot
 cost model, an exact policy-iteration solver for the joint MDP, a tabular
 Q-learner, a scalable linear-approximation Q-learner whose greedy action is
-a top-M sort, and a Monte Carlo experiment harness with CSV export.
+a top-M partition, and a Monte Carlo experiment harness with CSV export.
 """
 
 from .caching_core import (

@@ -40,6 +40,7 @@ from .schedules import (
     fields_to_json,
 )
 from .simulate import (
+    MetricsTrace,
     OraclePolicyAgent,
     PopularityEnv,
     RandomBaselineAgent,
@@ -244,31 +245,6 @@ def list_presets() -> list[dict]:
     return rows
 
 
-@dataclass
-class MetricsTrace:
-    """Monte-Carlo-averaged per-slot metrics plus run metadata."""
-
-    avg_cost: np.ndarray
-    run_avg_cost: np.ndarray
-    hit_fraction: np.ndarray
-    cost_std: np.ndarray
-    realizations: int
-    base_seed: int
-    gamma: float
-    learner: str
-    error_slots: np.ndarray | None = None
-    norm_error: np.ndarray | None = None
-    oracle_average_cost: float | None = None
-    windows: tuple[tuple[int, int], ...] = ()
-    window_cost: np.ndarray | None = None  # (R, n_windows)
-    window_hit: np.ndarray | None = None
-    metadata: dict | None = None
-
-    @property
-    def horizon(self) -> int:
-        return int(self.avg_cost.size)
-
-
 def _build_agent(scenario: Scenario, oracle: PolicyIterationResult | None, space):
     if scenario.learner == "exact":
         return BatchExactAgent(space, scenario.learner_config)
@@ -333,22 +309,12 @@ def run_scenario(
         error_slots=error_slots,
     )
     oracle_cost = None if oracle is None else long_run_average_cost(space, oracle.policy, params)
-    run_avg = np.cumsum(result.avg_cost) / np.arange(1, scenario.horizon + 1)
-    return MetricsTrace(
-        avg_cost=result.avg_cost,
-        run_avg_cost=run_avg,
-        hit_fraction=result.hit_fraction,
-        cost_std=result.cost_std,
-        realizations=scenario.realizations,
+    return replace(
+        result,
         base_seed=scenario.base_seed,
         gamma=scenario.gamma,
         learner=scenario.learner,
-        error_slots=result.error_slots,
-        norm_error=result.error_values,
         oracle_average_cost=oracle_cost,
-        windows=tuple(windows),
-        window_cost=result.window_cost,
-        window_hit=result.window_hit,
         metadata={
             "scenario": scenario.name,
             "norm_error_metric": "relative_frobenius",

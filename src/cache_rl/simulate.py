@@ -94,17 +94,32 @@ class RunTrace:
 
 
 @dataclass
-class EngineResult:
-    """Aggregates across realizations (plus the trace when R == 1)."""
+class MetricsTrace:
+    """Monte-Carlo-averaged per-slot metrics of one run (plus the trace when R == 1).
+
+    ``run_lockstep`` fills the metrics; ``run_scenario`` adds the scenario's
+    base seed, discount, learner kind, oracle cost and metadata.
+    """
 
     avg_cost: np.ndarray
-    cost_std: np.ndarray
+    run_avg_cost: np.ndarray
     hit_fraction: np.ndarray
+    cost_std: np.ndarray
+    realizations: int
     window_cost: np.ndarray  # (R, n_windows) per-slot means within each window
     window_hit: np.ndarray
     error_slots: np.ndarray | None = None
-    error_values: np.ndarray | None = None
+    norm_error: np.ndarray | None = None
     trace: RunTrace | None = None
+    base_seed: int | None = None
+    gamma: float | None = None
+    learner: str | None = None
+    oracle_average_cost: float | None = None
+    metadata: dict | None = None
+
+    @property
+    def horizon(self) -> int:
+        return int(self.avg_cost.size)
 
 
 def realization_rng(base_seed: int, realization: int) -> np.random.Generator:
@@ -125,12 +140,15 @@ def run_lockstep(
     collect_trace: bool = False,
     windows: tuple[tuple[int, int], ...] = (),
     error_slots=None,
-) -> EngineResult:
-    """Run ``len(rngs)`` realizations of one agent in lockstep.
+) -> MetricsTrace:
+    """Run ``len(rngs)`` realizations of one agent in lockstep; returns their metrics.
 
-    ``windows`` is a sequence of (start, stop) slot intervals for which
-    per-realization mean cost and hit fraction are returned. ``error_slots``
-    lists slots after which ``agent.normalized_error()`` is sampled.
+    ``cost_schedule`` is a :class:`PiecewiseCostSchedule` or one
+    ``CostParams`` for the whole run; anything else raises ``TypeError``
+    before the agent begins. ``windows`` is a sequence of (start, stop) slot
+    intervals for which per-realization mean cost and hit fraction are
+    returned. ``error_slots`` lists slots after which
+    ``agent.normalized_error()`` is sampled into ``norm_error``.
 
     Agent contract (arrays have one row per realization; j is the slot's
     offset in its chunk): ``m`` is the cache capacity; ``f`` (or
@@ -146,6 +164,7 @@ def run_lockstep(
     a method that an option needs, fails with ``ValueError`` before the
     first slot.
     """
+    cost_schedule = as_cost_schedule(cost_schedule)
     horizon = as_int(horizon, "horizon", 1)
     n_real = len(rngs)
     if n_real < 1:
@@ -209,14 +228,8 @@ def run_lockstep(
         lam = cost_schedule.lambda_arrays(c0, c0 + n)
         u_g = np.stack([rng.random(n) for rng in rngs])
         u_l = np.stack([rng.random(n) for rng in rngs])
-        g_path = np.empty((n_real, n), dtype=np.int64)
-        l_path = np.empty((n_real, n), dtype=np.int64)
-        gg, ll = g, l
-        for j in range(n):
-            gg = next_states(cum_g[gg], u_g[:, j])
-            ll = next_states(cum_l[ll], u_l[:, j])
-            g_path[:, j] = gg
-            l_path[:, j] = ll
+        g_path = chain_path(cum_g, g, u_g)
+        l_path = chain_path(cum_l, l, u_l)
         del u_g, u_l
         counts = None
         if empirical:
@@ -270,16 +283,28 @@ def run_lockstep(
         win_cost[:, w] /= b - a
         win_hit[:, w] /= b - a
     cost_var = np.maximum(cost_sqmean - cost_mean**2, 0.0)
-    return EngineResult(
+    return MetricsTrace(
         avg_cost=cost_mean,
-        cost_std=np.sqrt(cost_var),
+        run_avg_cost=np.cumsum(cost_mean) / np.arange(1, horizon + 1),
         hit_fraction=hit_mean,
+        cost_std=np.sqrt(cost_var),
+        realizations=n_real,
         window_cost=win_cost,
         window_hit=win_hit,
         error_slots=err_slots,
-        error_values=np.asarray(err_values) if err_slots is not None else None,
+        norm_error=np.asarray(err_values) if err_slots is not None else None,
         trace=trace,
     )
+
+
+def chain_path(cum: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(R, n) chain states stepped from ``start`` by the (R, n) uniforms ``u`` over rows ``cum``."""
+    path = np.empty(u.shape, dtype=np.int64)
+    state = start
+    for j in range(u.shape[1]):
+        state = next_states(cum[state], u[:, j])
+        path[:, j] = state
+    return path
 
 
 def _require(agent, option: str, *methods) -> None:
@@ -291,8 +316,7 @@ def _require(agent, option: str, *methods) -> None:
 
 def run_single(env, agent, cost_schedule, horizon: int, rng: np.random.Generator) -> RunTrace:
     """One realization of ``agent`` driven by ``rng``; returns its per-slot trace."""
-    schedule = as_cost_schedule(cost_schedule)
-    return run_lockstep(env, agent, schedule, horizon, [rng], collect_trace=True).trace
+    return run_lockstep(env, agent, cost_schedule, horizon, [rng], collect_trace=True).trace
 
 
 class LockstepLearner:

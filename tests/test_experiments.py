@@ -349,6 +349,73 @@ class TestAgentContract:
         with pytest.raises(ValueError, match="call set_error_reference"):
             self.run(agent, error_slots=[2])
 
+    def test_cost_params_is_the_constant_schedule(self, small_space):
+        params = cr.CostParams(10, 600, 1000)
+
+        def avg_cost(cost_schedule):
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+            env = cr.PopularityEnv(*cr.small_network_chains())
+            rngs = [realization_rng(3, r) for r in range(2)]
+            return cr.simulate.run_lockstep(env, agent, cost_schedule, 300, rngs).avg_cost
+
+        expected = avg_cost(cr.PiecewiseCostSchedule.constant(params))
+        np.testing.assert_array_equal(avg_cost(params), expected)
+
+    def test_non_schedule_rejected_before_begin(self):
+        agent = cr.simulate.RandomBaselineAgent(10, 2)
+        begun = []
+        agent.begin = begun.append
+        env = cr.PopularityEnv(*cr.small_network_chains())
+        with pytest.raises(TypeError, match="^not a cost schedule: 'x'$"):
+            cr.simulate.run_lockstep(env, agent, "x", 5, [realization_rng(0, 0)])
+        assert begun == []
+
+
+class TestOneRecord:
+    """``run_lockstep`` returns the :class:`MetricsTrace` that ``run_scenario``
+    hands back with the scenario's fields added."""
+
+    HORIZON = 400
+    ERROR_SLOTS = [49, 199, 399]
+    WINDOWS = ((100, 300),)
+
+    def engine_run(self, sc, small_space):
+        oracle = cr.policy_iteration(small_space, sc.gamma, sc.lambda_schedule.segments[0][1])
+        agent = BatchExactAgent(small_space, sc.learner_config)
+        agent.set_error_reference(oracle.q, small_space)
+        rngs = [realization_rng(sc.base_seed, r) for r in range(sc.realizations)]
+        return cr.simulate.run_lockstep(
+            sc.env(), agent, sc.lambda_schedule, sc.horizon, rngs,
+            windows=self.WINDOWS, error_slots=self.ERROR_SLOTS,
+        )
+
+    def test_run_lockstep_returns_the_metrics_trace(self, small_net, small_space):
+        sc = small_scenario(small_net, horizon=self.HORIZON)
+        result = self.engine_run(sc, small_space)
+        assert type(result) is cr.MetricsTrace
+        assert result.horizon == self.HORIZON and result.realizations == 3
+        expected = np.cumsum(result.avg_cost) / np.arange(1, self.HORIZON + 1)
+        np.testing.assert_array_equal(result.run_avg_cost, expected)
+        np.testing.assert_array_equal(result.error_slots, self.ERROR_SLOTS)
+        assert result.norm_error.shape == (3,) and np.isfinite(result.norm_error).all()
+        assert result.window_cost.shape == (3, 1)
+        assert (result.base_seed, result.gamma, result.learner, result.metadata) == (None,) * 4
+
+    def test_run_scenario_adds_only_the_scenario_fields(self, small_net, small_space):
+        sc = small_scenario(small_net, horizon=self.HORIZON)
+        engine = self.engine_run(sc, small_space)
+        trace = cr.run_scenario(
+            sc, oracle_compare=True, error_slots=self.ERROR_SLOTS, windows=self.WINDOWS
+        )
+        for name in (
+            "avg_cost", "run_avg_cost", "hit_fraction", "cost_std",
+            "window_cost", "window_hit", "error_slots", "norm_error",
+        ):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(engine, name), err_msg=name)
+        assert trace.realizations == engine.realizations and trace.trace is None
+        assert (trace.base_seed, trace.gamma, trace.learner) == (7, 0.8, "exact")
+        assert trace.oracle_average_cost is not None and trace.metadata["scenario"] == "test"
+
 
 class TestMetricsHelpers:
     def test_cache_hit_fraction_examples(self):
