@@ -3,10 +3,11 @@
 
 Instead of one value per (state, action) pair, the scalable learner keeps a
 per-file "cost of not caching" score vector per popularity state plus one
-refresh scalar, and its greedy action is a sort. This demo mirrors the
-explore-then-exploit comparison: both learners explore uniformly for a
-while, then exploit greedily while we track how far their value estimates
-are from the exact optimum.
+refresh scalar, and its greedy action is the M top-scoring files, found by a
+partition rather than a sort. This demo mirrors the explore-then-exploit
+comparison: both learners explore uniformly for a while, then exploit
+greedily while we track how far their value estimates are from the exact
+optimum.
 """
 
 import numpy as np

@@ -3,8 +3,9 @@
 
 C(1000, 10) is about 2.6e23 feasible cache contents, so anything that
 enumerates actions or keeps a Q table is hopeless. The linear learner keeps
-(50 + 40) * 1000 + 1 = 90001 parameters, selects actions by sorting file
-scores, and beats the random-placement baseline by a wide margin.
+(50 + 40) * 1000 + 1 = 90001 parameters, picks the top M file scores by a
+partition rather than a sort, and beats the random-placement baseline by a
+wide margin.
 """
 
 import math

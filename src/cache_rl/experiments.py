@@ -150,6 +150,8 @@ class Scenario:
         object.__setattr__(self, "requests_per_slot", self.env().requests_per_slot)
         object.__setattr__(self, "lambda_schedule", as_cost_schedule(self.lambda_schedule))
         config_cls = LEARNER_CONFIGS.get(self.learner)
+        if config_cls is None and self.learner_config is not None:
+            raise ValueError(f"{self.learner} learner takes no learner_config")
         if config_cls is not None and not isinstance(self.learner_config, config_cls):
             raise ValueError(f"{self.learner} learner needs a {config_cls.__name__}")
         if self.learner_config is not None and self.learner_config.gamma != self.gamma:

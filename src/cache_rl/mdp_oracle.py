@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caching_core import ActionSpace, CostParams, SystemState, files_label, write_table
+from .caching_core import ActionSpace, CostParams, SystemState, files_label, files_mask, write_table
 from .popularity import MarkovChain, as_discount, as_int, as_ints
 
 
@@ -40,7 +40,7 @@ class StateSpace:
         # Materialized action tables, first: this rejects a space whose C(F, M)
         # is too large to count with len().
         self.action_files = self.actions.files_array()
-        self.action_masks = self.actions.mask_matrix()
+        self.action_masks = files_mask(self.action_files, self.actions.f)
         self.n_g = g_chain.n_states
         self.n_l = l_chain.n_states
         self.n_actions = len(self.action_files)

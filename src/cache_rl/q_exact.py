@@ -102,6 +102,7 @@ class BatchExactAgent(LockstepLearner):
     def __init__(self, space: StateSpace, config: QLearnerConfig):
         super().__init__(space.cache_size, config)
         self.space = space
+        self.f = space.catalog_size
         self.q: np.ndarray | None = None
         self._visits: np.ndarray | None = None
 

@@ -144,25 +144,22 @@ def run_lockstep(
     """Run ``len(rngs)`` realizations of one agent in lockstep; returns their metrics.
 
     ``cost_schedule`` is a :class:`PiecewiseCostSchedule` or one
-    ``CostParams`` for the whole run; anything else raises ``TypeError``
-    before the agent begins. ``windows`` is a sequence of (start, stop) slot
-    intervals for which per-realization mean cost and hit fraction are
-    returned. ``error_slots`` lists slots after which
+    ``CostParams`` for the whole run. ``windows`` is a sequence of (start,
+    stop) slot intervals for which per-realization mean cost and hit
+    fraction are returned. ``error_slots`` lists slots after which
     ``agent.normalized_error()`` is sampled into ``norm_error``.
 
     Agent contract (arrays have one row per realization; j is the slot's
-    offset in its chunk): ``m`` is the cache capacity; ``f`` (or
-    ``space.catalog_size``) is the catalog size and must be the
-    environment's; ``begin(R)`` resets; ``predraw(rngs, ts)`` makes the
-    agent's draws for the chunk of 0-based slots ``ts``, after the engine's
-    own; ``select(j, g, l_seen, mask_prev)`` returns the new cache as an
-    (R, F) 0/1 mask with M ones per row; ``learn(j, g_next, l_next_seen,
-    cost, refresh)`` sees the slot's outcome. ``error_slots`` needs
-    ``normalized_error()`` -> (R,), and ``collect_trace`` needs
-    ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
-    :class:`LockstepLearner` has. An agent with another catalog, or without
-    a method that an option needs, fails with ``ValueError`` before the
-    first slot.
+    offset in its chunk): ``m`` is the cache capacity; ``f`` is the catalog
+    size and must be the environment's; ``begin(R)`` resets; ``predraw(rngs,
+    ts)`` makes the agent's draws for the chunk of 0-based slots ``ts``,
+    after the engine's own; ``select(j, g, l_seen, mask_prev)`` returns the
+    new cache as an (R, F) 0/1 mask with M ones per row; ``learn(j, g_next,
+    l_next_seen, cost, refresh)`` sees the slot's outcome. ``error_slots``
+    needs ``normalized_error()`` -> (R,), and ``collect_trace`` needs
+    ``trace_epsilon(j)`` and ``trace_beta(j)``, as a :class:`LockstepLearner`
+    has. Every option is checked before ``agent.begin``: a bad schedule
+    raises ``TypeError``, and any other bad option ``ValueError``.
     """
     cost_schedule = as_cost_schedule(cost_schedule)
     horizon = as_int(horizon, "horizon", 1)
@@ -174,9 +171,16 @@ def run_lockstep(
     if collect_trace:
         _require(agent, "collect_trace", "trace_epsilon", "trace_beta")
     f = env.catalog_size
-    catalog = agent.space.catalog_size if hasattr(agent, "space") else agent.f
-    if catalog != f:
-        raise ValueError(f"{type(agent).__name__} caches from {catalog} files; the env has {f}")
+    if agent.f != f:
+        raise ValueError(f"{type(agent).__name__} caches from {agent.f} files; the env has {f}")
+    windows = tuple((as_int(a, "window start"), as_int(b, "window stop")) for a, b in windows)
+    for a, b in windows:
+        if not 0 <= a < b <= horizon:
+            raise ValueError(f"window ({a}, {b}) does not fit in [0, {horizon})")
+    if error_slots is not None:
+        error_slots = np.unique(as_ints(list(error_slots), "error slot", 0, horizon))
+    if collect_trace and n_real != 1:
+        raise ValueError("traces are collected for single realizations only")
     n_g, n_l = env.g_chain.n_states, env.l_chain.n_states
     m = agent.m
     g_profiles = env.g_chain.profile_matrix()
@@ -197,27 +201,18 @@ def run_lockstep(
     cost_mean = np.empty(horizon)
     cost_sqmean = np.empty(horizon)
     hit_mean = np.empty(horizon)
-    windows = tuple((as_int(a, "window start"), as_int(b, "window stop")) for a, b in windows)
-    for a, b in windows:
-        if not 0 <= a < b <= horizon:
-            raise ValueError(f"window ({a}, {b}) does not fit in [0, {horizon})")
     win_cost = np.zeros((n_real, len(windows)))
     win_hit = np.zeros((n_real, len(windows)))
-    err_slots = None
+    snapshots = set() if error_slots is None else set(error_slots.tolist())
     err_values: list[float] = []
-    err_ptr = 0
-    if error_slots is not None:
-        err_slots = np.unique(as_ints(list(error_slots), "error slot", 0, horizon))
 
     trace = None
     if collect_trace:
-        if n_real != 1:
-            raise ValueError("traces are collected for single realizations only")
         trace = RunTrace(
             g_states=np.empty(horizon, dtype=np.int64),
             l_states=np.empty(horizon, dtype=np.int64),
             actions=np.empty((horizon, m), dtype=np.int64),
-            costs=np.empty(horizon),
+            costs=cost_mean,  # one realization: each slot's mean is its cost
             epsilons=np.empty(horizon),
             betas=np.empty(horizon),
         )
@@ -237,6 +232,8 @@ def run_lockstep(
                 [rngs[r].multinomial(n_req, l_profiles[l_path[r]]) for r in range(n_real)]
             )
         agent.predraw(rngs, ts)
+        if trace is not None:
+            trace.g_states[c0 : c0 + n] = g_path[0]
 
         for j in range(n):
             t = c0 + j
@@ -255,21 +252,19 @@ def run_lockstep(
             cost = lam[0, j] * refresh + lam[1, j] * (1.0 - cached_l) + lam[2, j] * uncached_g
             agent.learn(j, g_next, l_next_seen, cost, refresh)
 
-            cost_mean[t] = cost.mean()
-            cost_sqmean[t] = (cost * cost).mean()
-            hit_mean[t] = cached_l.mean()
+            # sum / R is bit for bit .mean(), without its Python-level wrapper
+            cost_mean[t] = cost.sum() / n_real
+            cost_sqmean[t] = (cost * cost).sum() / n_real
+            hit_mean[t] = cached_l.sum() / n_real
             for w, (a, b) in enumerate(windows):
                 if a <= t < b:
                     win_cost[:, w] += cost
                     win_hit[:, w] += cached_l
-            if err_slots is not None and err_ptr < err_slots.size and err_slots[err_ptr] == t:
+            if t in snapshots:
                 err_values.append(float(agent.normalized_error().mean()))
-                err_ptr += 1
             if trace is not None:
-                trace.g_states[t] = g_next[0]
                 trace.l_states[t] = l_next_seen[0]
                 trace.actions[t] = np.flatnonzero(mask[0])
-                trace.costs[t] = cost[0]
                 trace.epsilons[t] = agent.trace_epsilon(j)
                 trace.betas[t] = agent.trace_beta(j)
 
@@ -279,9 +274,9 @@ def run_lockstep(
             mask_prev = mask
         del g_path, l_path, counts
 
-    for w, (a, b) in enumerate(windows):
-        win_cost[:, w] /= b - a
-        win_hit[:, w] /= b - a
+    lengths = np.array([b - a for a, b in windows])
+    win_cost /= lengths
+    win_hit /= lengths
     cost_var = np.maximum(cost_sqmean - cost_mean**2, 0.0)
     return MetricsTrace(
         avg_cost=cost_mean,
@@ -291,8 +286,8 @@ def run_lockstep(
         realizations=n_real,
         window_cost=win_cost,
         window_hit=win_hit,
-        error_slots=err_slots,
-        norm_error=np.asarray(err_values) if err_slots is not None else None,
+        error_slots=error_slots,
+        norm_error=np.asarray(err_values) if error_slots is not None else None,
         trace=trace,
     )
 
@@ -412,6 +407,7 @@ class OraclePolicyAgent:
     def __init__(self, space, policy: np.ndarray):
         self.space = space
         self.policy = space.check_policy(policy)
+        self.f = space.catalog_size
         self.m = space.cache_size
         self._a_idx: np.ndarray | None = None
 

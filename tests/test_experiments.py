@@ -92,6 +92,15 @@ class TestPresets:
         assert back.learner_config == sc.learner_config
         np.testing.assert_array_equal(back.g_chain.transition, sc.g_chain.transition)
 
+    @pytest.mark.parametrize("learner", ["random-baseline", "oracle-policy"])
+    @pytest.mark.parametrize("config", [cr.QLearnerConfig(), "junk"], ids=["config", "junk"])
+    def test_config_less_learner_rejects_learner_config(self, learner, config):
+        """A config that the learner would ignore, and that a scenario file would
+        drop on loading, is refused like a config of the wrong kind."""
+        sc = cr.preset_scenario("s1", horizon=50, learner=learner)
+        with pytest.raises(ValueError, match=f"^{learner} learner takes no learner_config$"):
+            cr.scenario_with(sc, learner_config=config)
+
     def test_scenario_validation(self, small_net):
         with pytest.raises(ValueError):
             small_scenario(small_net, learner="bogus", learner_config=None)
@@ -338,6 +347,26 @@ class TestAgentContract:
         message = f"{type(agent).__name__} caches from {f} files; the env has {env.catalog_size}"
         with pytest.raises(ValueError, match=message):
             cr.simulate.run_lockstep(env, agent, sc.lambda_schedule, 5, [realization_rng(0, 0)])
+        assert begun == []
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(windows=((2, 6),)), r"^window \(2, 6\) does not fit in \[0, 5\)$"),
+            (dict(error_slots=[1, 5]), r"^error slot must lie in \[0, 5\), got 5$"),
+            (dict(collect_trace=True), "^traces are collected for single realizations only$"),
+        ],
+        ids=["window", "error-slot", "trace"],
+    )
+    def test_bad_option_rejected_before_begin(self, small_space, options, message):
+        """A window or error slot past the horizon, or a trace of two realizations."""
+        agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        begun = []
+        agent.begin = begun.append
+        sc = cr.preset_scenario("s1", horizon=5, realizations=2)
+        rngs = [realization_rng(0, r) for r in range(2)]
+        with pytest.raises(ValueError, match=message):
+            cr.simulate.run_lockstep(sc.env(), agent, sc.lambda_schedule, 5, rngs, **options)
         assert begun == []
 
     @pytest.mark.parametrize("kind", ["exact", "linear"])
