@@ -74,8 +74,7 @@ class CacheAction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "catalog_size", as_int(self.catalog_size, "catalog_size"))
         files = tuple(sorted(as_int(x, "file index", 1, self.catalog_size + 1) for x in self.files))
-        if not files:
-            raise ValueError("a cache action must hold at least one file")
+        as_int(len(files), "cached file count", 1)
         if len(set(files)) != len(files):
             raise ValueError("cached files must be distinct")
         object.__setattr__(self, "files", files)
@@ -132,8 +131,8 @@ class ActionSpace:
 
     def index_of(self, action: CacheAction) -> int:
         """Lexicographic rank of an action (inverse of :meth:`action`)."""
-        if action.catalog_size != self.f or action.cache_size != self.m:
-            raise ValueError("action does not belong to this space")
+        as_int(action.catalog_size, "action catalog size", self.f, self.f + 1)
+        as_int(action.cache_size, "action cache size", self.m, self.m + 1)
         rank = 0
         prev = 0
         for i, file_id in enumerate(action.files):
@@ -212,15 +211,15 @@ def fetched_count(mask: np.ndarray, mask_prev: np.ndarray, m: int) -> np.ndarray
 
 def refresh_cost(a_new: CacheAction, a_prev: CacheAction, lambda1: float) -> float:
     """lambda1 times the number of files in ``a_new`` not already cached."""
-    if a_new.catalog_size != a_prev.catalog_size:
-        raise ValueError("actions refer to different catalogs")
+    f = a_prev.catalog_size
+    as_int(a_new.catalog_size, "new action catalog size", f, f + 1)
     return float(lambda1 * fetched_count(a_new.as_mask(), a_prev.as_mask(), a_new.cache_size))
 
 
 def mismatch_cost(action: CacheAction, profile: PopularityProfile, lam: float) -> float:
     """``lam`` times the popularity mass of the files left uncached."""
-    if action.catalog_size != profile.catalog_size:
-        raise ValueError("action and profile catalog sizes differ")
+    f = profile.catalog_size
+    as_int(action.catalog_size, "action catalog size", f, f + 1)
     return float(lam * (1.0 - cached_mass(action.as_mask(), profile.probs)))
 
 

@@ -327,8 +327,7 @@ def run_scenario(
 
 def cache_hit_fraction(action: CacheAction, p_l: PopularityProfile) -> float:
     """Share of the slot's local request mass served from cache."""
-    if action.catalog_size != p_l.catalog_size:
-        raise ValueError("action and profile catalog sizes differ")
+    as_int(action.catalog_size, "action catalog size", p_l.catalog_size, p_l.catalog_size + 1)
     return float(cached_mass(action.as_mask(), p_l.probs))
 
 

@@ -32,8 +32,8 @@ class StateSpace:
     """Joint state space over both chains and the feasible action set."""
 
     def __init__(self, g_chain: MarkovChain, l_chain: MarkovChain, cache_size: int):
-        if g_chain.catalog_size != l_chain.catalog_size:
-            raise ValueError("chains must share one catalog size")
+        f = g_chain.catalog_size
+        as_int(l_chain.catalog_size, "local chain catalog size", f, f + 1)
         self.g_chain = g_chain
         self.l_chain = l_chain
         self.actions = ActionSpace(g_chain.catalog_size, cache_size)

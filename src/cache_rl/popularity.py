@@ -19,7 +19,8 @@ code and one from a scenario file fail with one message: :func:`as_int` and
 its array form :func:`as_ints`, the only definition of an integer (whole and
 finite; a bool, a string or a fraction fails) and the only integer range
 check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
-left as None is open), :func:`as_number` (a real number, not a bool),
+left as None is open; an equality is the one-value range ``[n, n + 1)``),
+:func:`as_number` (a real number, not a bool),
 :func:`as_discount` (gamma in [0, 1)) and :func:`as_probabilities` (finite,
 non-negative rows summing to 1 within ``PROB_TOL``).
 """
@@ -38,12 +39,16 @@ PROB_TOL = 1e-9
 def as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an int in ``[lo, hi)``, a bound left as None being open; an
     integral float converts, non-finite values fail. The comparison is on Python
-    ints, so a bound such as C(F, M) may exceed int64."""
+    ints, so a bound such as C(F, M) may exceed int64. The one-value range
+    ``[n, n + 1)`` is an equality and reads "must be n"."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
             value = int(value)
             if (lo is not None and value < lo) or (hi is not None and value >= hi):
-                bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi})"
+                if hi is None:
+                    bound = f"be >= {lo}"
+                else:
+                    bound = f"be {lo}" if hi - 1 == lo else f"lie in [{lo}, {hi})"
                 raise ValueError(f"{name} must {bound}, got {value}")
             return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -116,8 +121,8 @@ class PopularityProfile:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.ndim(self.probs) != 1 or np.size(self.probs) < 1:
-            raise ValueError("profile must be a non-empty 1-D vector")
+        as_int(np.ndim(self.probs), "profile ndim", 1, 2)
+        as_int(np.size(self.probs), "profile size", 1)
         object.__setattr__(self, "probs", _readonly(as_probabilities(self.probs, "profile")))
 
     @property
@@ -140,11 +145,9 @@ class MarkovChain:
         if not all(isinstance(s, PopularityProfile) for s in states):
             states = map(PopularityProfile, as_probabilities(states, "states"))
         states = tuple(states)
-        if not states:
-            raise ValueError("chain needs at least one state")
+        as_int(len(states), "chain state count", 1)
         f = states[0].catalog_size
-        if any(s.catalog_size != f for s in states):
-            raise ValueError("all chain states must share one catalog size")
+        as_ints([s.catalog_size for s in states], "state catalog size", f, f + 1)
         trans = as_probabilities(self.transition, "transition")
         n = len(states)
         if trans.shape != (n, n):
@@ -194,8 +197,8 @@ class RequestBatch:
 
     def __post_init__(self) -> None:
         counts = as_ints(self.counts, "counts", 0)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValueError("counts must be a non-empty 1-D vector")
+        as_int(counts.ndim, "counts ndim", 1, 2)
+        as_int(counts.size, "counts size", 1)
         object.__setattr__(self, "counts", _readonly(counts))
 
     @property
@@ -252,10 +255,7 @@ def sample_requests(profile: PopularityProfile, n: int, rng: np.random.Generator
 
 def estimate_empirical(batch: RequestBatch) -> PopularityProfile:
     """Empirical popularity profile: per-file share of all requests."""
-    total = batch.total
-    if total < 1:
-        raise ValueError("cannot estimate a profile from an all-zero batch")
-    return PopularityProfile(batch.counts / total)
+    return PopularityProfile(batch.counts / as_int(batch.total, "request total", 1))
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
@@ -278,8 +278,7 @@ def quantize_to_state(profile: PopularityProfile, chain: MarkovChain) -> int:
 
     Ties break toward the lowest state index.
     """
-    if profile.catalog_size != chain.catalog_size:
-        raise ValueError("profile and chain catalog sizes differ")
+    as_int(profile.catalog_size, "profile catalog size", chain.catalog_size, chain.catalog_size + 1)
     return int(nearest_states(profile.probs, chain.profile_matrix()))
 
 

@@ -102,7 +102,7 @@ class BatchExactAgent(LockstepLearner):
     def __init__(self, space: StateSpace, config: QLearnerConfig):
         super().__init__(space.cache_size, config)
         self.space = space
-        self.f = space.catalog_size
+        self.f, self.n_g, self.n_l = space.catalog_size, space.n_g, space.n_l
         self.q: np.ndarray | None = None
         self._visits: np.ndarray | None = None
 

@@ -74,10 +74,10 @@ class LinearParams:
     def __post_init__(self) -> None:
         self.theta_g = np.asarray(self.theta_g, dtype=np.float64)
         self.theta_l = np.asarray(self.theta_l, dtype=np.float64)
-        if self.theta_g.ndim != 2 or self.theta_l.ndim != 2:
-            raise ValueError("theta_g and theta_l must be 2-D")
-        if self.theta_g.shape[1] != self.theta_l.shape[1]:
-            raise ValueError("theta_g and theta_l must share the catalog dimension")
+        as_int(self.theta_g.ndim, "theta_g ndim", 2, 3)
+        as_int(self.theta_l.ndim, "theta_l ndim", 2, 3)
+        f = self.catalog_size
+        as_int(self.theta_l.shape[1], "theta_l catalog size", f, f + 1)
         self.theta_r = as_number(self.theta_r, "theta_r")
         if not all(np.isfinite(t).all() for t in (self.theta_g, self.theta_l, self.theta_r)):
             raise ValueError("parameters must be finite")
@@ -160,8 +160,7 @@ def sgd_step(theta_g, theta_l, theta_r, at_g, at_l, mask, err, refresh, config):
 def psi(params: LinearParams, state: SystemState) -> np.ndarray:
     """Per-file not-caching scores for one state."""
     f = params.catalog_size
-    if state.action.catalog_size != f:
-        raise ValueError("state action catalog does not match the parameters")
+    as_int(state.action.catalog_size, "state action catalog size", f, f + 1)
     g = as_int(state.g, "g", 0, params.theta_g.shape[0])
     l = as_int(state.l, "l", 0, params.theta_l.shape[0])
     return scores(params.theta_g, params.theta_l, params.theta_r, g, l, state.action.as_mask())
@@ -169,8 +168,8 @@ def psi(params: LinearParams, state: SystemState) -> np.ndarray:
 
 def q_hat(params: LinearParams, state: SystemState, a_next: CacheAction) -> float:
     """Approximate Q-value: the psi mass left uncached by ``a_next``."""
-    if a_next.catalog_size != params.catalog_size:
-        raise ValueError("action catalog does not match the parameters")
+    f = params.catalog_size
+    as_int(a_next.catalog_size, "action catalog size", f, f + 1)
     return float(cache_q(psi(params, state), a_next.as_mask()))
 
 

@@ -180,10 +180,8 @@ class PiecewiseCostSchedule:
 
     def __post_init__(self) -> None:
         segments = tuple((as_int(s, "start"), p) for s, p in self.segments)
-        if not segments:
-            raise ValueError("schedule needs at least one segment")
-        if segments[0][0] != 0:
-            raise ValueError("first segment must start at slot 0")
+        as_int(len(segments), "segment count", 1)
+        as_int(segments[0][0], "first segment start", 0, 1)
         starts = [s for s, _ in segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment starts must be strictly increasing")

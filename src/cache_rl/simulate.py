@@ -49,8 +49,8 @@ class PopularityEnv:
     requests_per_slot: int = 100
 
     def __post_init__(self) -> None:
-        if self.g_chain.catalog_size != self.l_chain.catalog_size:
-            raise ValueError("global and local chains must share one catalog size")
+        f = self.g_chain.catalog_size
+        as_int(self.l_chain.catalog_size, "local chain catalog size", f, f + 1)
         if self.request_mode not in REQUEST_MODES:
             raise ValueError(f"request_mode must be one of {REQUEST_MODES}")
         n_requests = as_int(self.requests_per_slot, "requests_per_slot", 1)
@@ -151,28 +151,30 @@ def run_lockstep(
 
     Agent contract (arrays have one row per realization; j is the slot's
     offset in its chunk): ``m`` is the cache capacity; ``f`` is the catalog
-    size and must be the environment's; ``begin(R)`` resets; ``predraw(rngs,
-    ts)`` makes the agent's draws for the chunk of 0-based slots ``ts``,
-    after the engine's own; ``select(j, g, l_seen, mask_prev)`` returns the
-    new cache as an (R, F) 0/1 mask with M ones per row; ``learn(j, g_next,
-    l_next_seen, cost, refresh)`` sees the slot's outcome. ``error_slots``
-    needs ``normalized_error()`` -> (R,), and ``collect_trace`` needs
-    ``trace_epsilon(j)`` and ``trace_beta(j)``, as a :class:`LockstepLearner`
-    has. Every option is checked before ``agent.begin``: a bad schedule
-    raises ``TypeError``, and any other bad option ``ValueError``.
+    size and ``n_g``/``n_l`` the global/local chain sizes (declared by an
+    agent that indexes chain states), each the environment's; ``begin(R)``
+    resets; ``predraw(rngs, ts)`` makes the agent's draws for the chunk of
+    0-based slots ``ts``, after the engine's own; ``select(j, g, l_seen,
+    mask_prev)`` returns the new cache as an (R, F) 0/1 mask with M ones per
+    row; ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
+    outcome. ``error_slots`` needs ``normalized_error()`` -> (R,), and
+    ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
+    :class:`LockstepLearner` has. Every option is checked before
+    ``agent.begin``: a bad schedule raises ``TypeError``, and any other bad
+    option ``ValueError``.
     """
     cost_schedule = as_cost_schedule(cost_schedule)
     horizon = as_int(horizon, "horizon", 1)
-    n_real = len(rngs)
-    if n_real < 1:
-        raise ValueError("need at least one realization")
+    n_real = as_int(len(rngs), "realization count", 1)
     if error_slots is not None:
         _require(agent, "error_slots", "normalized_error")
     if collect_trace:
         _require(agent, "collect_trace", "trace_epsilon", "trace_beta")
-    f = env.catalog_size
-    if agent.f != f:
-        raise ValueError(f"{type(agent).__name__} caches from {agent.f} files; the env has {f}")
+    f, n_g, n_l = env.catalog_size, env.g_chain.n_states, env.l_chain.n_states
+    name = type(agent).__name__
+    as_int(agent.f, f"{name}.f", f, f + 1)
+    for attr, size in (("n_g", n_g), ("n_l", n_l)):  # declared by agents that index chain states
+        as_int(getattr(agent, attr, size), f"{name}.{attr}", size, size + 1)
     windows = tuple((as_int(a, "window start"), as_int(b, "window stop")) for a, b in windows)
     for a, b in windows:
         if not 0 <= a < b <= horizon:
@@ -181,7 +183,6 @@ def run_lockstep(
         error_slots = np.unique(as_ints(list(error_slots), "error slot", 0, horizon))
     if collect_trace and n_real != 1:
         raise ValueError("traces are collected for single realizations only")
-    n_g, n_l = env.g_chain.n_states, env.l_chain.n_states
     m = agent.m
     g_profiles = env.g_chain.profile_matrix()
     l_profiles = env.l_chain.profile_matrix()
@@ -407,7 +408,7 @@ class OraclePolicyAgent:
     def __init__(self, space, policy: np.ndarray):
         self.space = space
         self.policy = space.check_policy(policy)
-        self.f = space.catalog_size
+        self.f, self.n_g, self.n_l = space.catalog_size, space.n_g, space.n_l
         self.m = space.cache_size
         self._a_idx: np.ndarray | None = None
 

@@ -423,7 +423,105 @@ OUT_OF_RANGE = {
         lambda sp, sc: cr.simulate.UniformActionDraws(10, 11),
         "cache capacity must lie in [1, 11), got 11",
     ),
+    # size agreements: the one-value range [n, n + 1) reads "must be n"
+    "CacheAction-empty": (lambda sp, sc: action(()), "cached file count must be >= 1, got 0"),
+    "index_of-catalog": (
+        lambda sp, sc: sp.actions.index_of(action((1, 2), f=12)),
+        "action catalog size must be 10, got 12",
+    ),
+    "index_of-cache": (
+        lambda sp, sc: sp.actions.index_of(action((1, 2, 3))), "action cache size must be 2, got 3"
+    ),
+    "refresh_cost-catalog": (
+        lambda sp, sc: cr.refresh_cost(action((1, 2), f=12), action((1, 2)), 1.0),
+        "new action catalog size must be 10, got 12",
+    ),
+    "mismatch_cost-catalog": (
+        lambda sp, sc: cr.mismatch_cost(action((1, 2), f=12), sp.l_chain.states[0], 1.0),
+        "action catalog size must be 10, got 12",
+    ),
+    "cache_hit_fraction-catalog": (
+        lambda sp, sc: cr.cache_hit_fraction(action((1, 2), f=12), sp.l_chain.states[0]),
+        "action catalog size must be 10, got 12",
+    ),
+    "StateSpace-catalog": (
+        lambda sp, sc: cr.StateSpace(sp.g_chain, chains12()[1], 2),
+        "local chain catalog size must be 10, got 12",
+    ),
+    "PopularityProfile-ndim": (
+        lambda sp, sc: cr.PopularityProfile(np.full((2, 2), 0.5)), "profile ndim must be 1, got 2"
+    ),
+    "PopularityProfile-size": (
+        lambda sp, sc: cr.PopularityProfile(np.array([])), "profile size must be >= 1, got 0"
+    ),
+    "MarkovChain-states": (
+        lambda sp, sc: cr.MarkovChain(states=(), transition=[]),
+        "chain state count must be >= 1, got 0",
+    ),
+    "MarkovChain-catalog": (
+        lambda sp, sc: cr.MarkovChain(
+            states=(sp.l_chain.states[0], chains12()[1].states[0]), transition=np.eye(2)
+        ),
+        "state catalog size must be 10, got 12",
+    ),
+    "RequestBatch-ndim": (
+        lambda sp, sc: cr.RequestBatch(np.ones((2, 2), dtype=int)), "counts ndim must be 1, got 2"
+    ),
+    "RequestBatch-size": (
+        lambda sp, sc: cr.RequestBatch(np.ones(0, dtype=int)), "counts size must be >= 1, got 0"
+    ),
+    "estimate_empirical-total": (
+        lambda sp, sc: cr.estimate_empirical(cr.RequestBatch(np.zeros(3, dtype=int))),
+        "request total must be >= 1, got 0",
+    ),
+    "quantize_to_state-catalog": (
+        lambda sp, sc: cr.quantize_to_state(chains12()[1].states[0], sp.l_chain),
+        "profile catalog size must be 10, got 12",
+    ),
+    "LinearParams-theta_g-ndim": (
+        lambda sp, sc: cr.LinearParams(np.zeros(10), np.zeros((2, 10)), 0.0),
+        "theta_g ndim must be 2, got 1",
+    ),
+    "LinearParams-theta_l-ndim": (
+        lambda sp, sc: cr.LinearParams(np.zeros((2, 10)), np.zeros((2, 2, 10)), 0.0),
+        "theta_l ndim must be 2, got 3",
+    ),
+    "LinearParams-catalog": (
+        lambda sp, sc: cr.LinearParams(np.zeros((2, 10)), np.zeros((2, 12)), 0.0),
+        "theta_l catalog size must be 10, got 12",
+    ),
+    "psi-catalog": (
+        lambda sp, sc: cr.psi(
+            cr.LinearParams.zeros(2, 2, 10), cr.SystemState(0, 0, action((1, 2), f=12))
+        ),
+        "state action catalog size must be 10, got 12",
+    ),
+    "q_hat-catalog": (
+        lambda sp, sc: cr.q_hat(cr.LinearParams.zeros(2, 2, 10), state(0, 0), action((1, 2), 12)),
+        "action catalog size must be 10, got 12",
+    ),
+    "PiecewiseCostSchedule-empty": (
+        lambda sp, sc: cr.PiecewiseCostSchedule(segments=()), "segment count must be >= 1, got 0"
+    ),
+    "PiecewiseCostSchedule-first-start": (
+        lambda sp, sc: cr.PiecewiseCostSchedule(segments=((5, cr.CostParams(1, 1, 1)),)),
+        "first segment start must be 0, got 5",
+    ),
+    "PopularityEnv-catalog": (
+        lambda sp, sc: cr.PopularityEnv(sp.g_chain, chains12()[1]),
+        "local chain catalog size must be 10, got 12",
+    ),
+    "run_lockstep-realizations": (
+        lambda sp, sc: cr.simulate.run_lockstep(
+            sc.env(), cr.simulate.RandomBaselineAgent(10, 2), sc.lambda_schedule, 5, []
+        ),
+        "realization count must be >= 1, got 0",
+    ),
 }
+
+
+def chains12():
+    return cr.small_network_chains(12)
 
 
 def expected_cost(sp, prev):

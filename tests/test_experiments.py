@@ -344,8 +344,29 @@ class TestAgentContract:
             env, f = cr.PopularityEnv(*cr.small_network_chains(12)), 10
         begun = []
         agent.begin = begun.append
-        message = f"{type(agent).__name__} caches from {f} files; the env has {env.catalog_size}"
+        message = f"^{type(agent).__name__}.f must be {env.catalog_size}, got {f}$"
         with pytest.raises(ValueError, match=message):
+            cr.simulate.run_lockstep(env, agent, sc.lambda_schedule, 5, [realization_rng(0, 0)])
+        assert begun == []
+
+    @pytest.mark.parametrize("chain", ["n_g", "n_l"])
+    @pytest.mark.parametrize("kind", ["linear", "exact", "oracle-policy"])
+    def test_chain_size_mismatch_rejected_before_begin(self, small_space, kind, chain):
+        """An agent of the 2x2 small network on a network whose global (or
+        local) chain has 3 states, with the same 10 files."""
+        g_chain, l_chain = small_space.g_chain, small_space.l_chain
+        three = cr.random_chain(3, 10, np.random.default_rng(0))
+        env = cr.PopularityEnv(*((three, l_chain) if chain == "n_g" else (g_chain, three)))
+        if kind == "linear":
+            agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        elif kind == "exact":
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        else:
+            agent = cr.simulate.OraclePolicyAgent(small_space, np.zeros(180, dtype=np.int64))
+        begun = []
+        agent.begin = begun.append
+        sc = cr.preset_scenario("s1", horizon=5, realizations=1)
+        with pytest.raises(ValueError, match=f"^{type(agent).__name__}.{chain} must be 3, got 2$"):
             cr.simulate.run_lockstep(env, agent, sc.lambda_schedule, 5, [realization_rng(0, 0)])
         assert begun == []
 
