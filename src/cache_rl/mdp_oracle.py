@@ -95,6 +95,13 @@ class StateSpace:
             raise ValueError("policy must assign one valid action per state")
         return policy
 
+    def check_q_table(self, q) -> np.ndarray:
+        """``q`` as a float64 array, if it is an (|S|, |A|) table over this space."""
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (self.n_states, self.n_actions):
+            raise ValueError(f"Q table must be {self.n_states}x{self.n_actions}, got {q.shape}")
+        return q
+
     def mismatch_cost(self, params: CostParams) -> np.ndarray:
         """lambda3 * (1 - E[p_G']^T a) + lambda2 * (1 - E[p_L']^T a) per (gl, a),
         E[p'] being the one-step conditional mean profile."""
@@ -172,10 +179,7 @@ def q_from_value(
 
 def policy_improvement(space: StateSpace, q: np.ndarray) -> np.ndarray:
     """Greedy policy for a Q table; ties go to the lowest action index."""
-    q = np.asarray(q)
-    if q.shape != (space.n_states, space.n_actions):
-        raise ValueError("Q table has wrong shape")
-    return np.argmin(q, axis=1)
+    return np.argmin(space.check_q_table(q), axis=1)
 
 
 @dataclass(frozen=True)
@@ -216,9 +220,7 @@ def bellman_optimality_residual(
     space: StateSpace, q: np.ndarray, gamma: float, params: CostParams
 ) -> float:
     """Max absolute violation of the optimality recursion by a Q table."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (space.n_states, space.n_actions):
-        raise ValueError("Q table has wrong shape")
+    q = space.check_q_table(q)
     v = q.min(axis=1)
     target = q_from_value(space, v, gamma, params)
     return float(np.abs(np.subtract(q, target, out=target), out=target).max())

@@ -227,7 +227,15 @@ def _q_table(theta_g, theta_l, theta_r, space: StateSpace) -> np.ndarray:
 
 
 def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
-    """Materialize the linear learner's Q values over all (state, action)."""
+    """Materialize the linear learner's Q values over all (state, action) of
+    ``space``, whose chain and catalog sizes the parameters must have."""
+    sizes = (
+        ("theta_g rows", params.theta_g.shape[0], space.n_g),
+        ("theta_l rows", params.theta_l.shape[0], space.n_l),
+        ("parameter catalog size", params.catalog_size, space.catalog_size),
+    )
+    for name, value, size in sizes:
+        as_int(value, name, size, size + 1)
     return _q_table(params.theta_g, params.theta_l, params.theta_r, space)
 
 
@@ -237,8 +245,7 @@ class BatchLinearAgent(LockstepLearner):
     def __init__(self, n_g: int, n_l: int, f: int, m: int, config: LinearLearnerConfig):
         self._draws = UniformActionDraws(f, m)
         super().__init__(self._draws.m, config)
-        self.n_g = n_g
-        self.n_l = n_l
+        self.n_g, self.n_l = as_int(n_g, "n_g", 1), as_int(n_l, "n_l", 1)
         self.f = self._draws.f
         self.theta_g: np.ndarray | None = None
         self.theta_l: np.ndarray | None = None

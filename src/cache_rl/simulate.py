@@ -157,7 +157,8 @@ def run_lockstep(
     0-based slots ``ts``, after the engine's own; ``select(j, g, l_seen,
     mask_prev)`` returns the new cache as an (R, F) 0/1 mask with M ones per
     row; ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
-    outcome. ``error_slots`` needs ``normalized_error()`` -> (R,), and
+    outcome. ``error_slots`` needs ``normalized_error()`` -> (R,) and
+    ``error_reference()``, which raises when there is no Q* reference;
     ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
     :class:`LockstepLearner` has. Every option is checked before
     ``agent.begin``: a bad schedule raises ``TypeError``, and any other bad
@@ -167,7 +168,7 @@ def run_lockstep(
     horizon = as_int(horizon, "horizon", 1)
     n_real = as_int(len(rngs), "realization count", 1)
     if error_slots is not None:
-        _require(agent, "error_slots", "normalized_error")
+        _require(agent, "error_slots", "normalized_error", "error_reference")
     if collect_trace:
         _require(agent, "collect_trace", "trace_epsilon", "trace_beta")
     f, n_g, n_l = env.catalog_size, env.g_chain.n_states, env.l_chain.n_states
@@ -181,6 +182,7 @@ def run_lockstep(
             raise ValueError(f"window ({a}, {b}) does not fit in [0, {horizon})")
     if error_slots is not None:
         error_slots = np.unique(as_ints(list(error_slots), "error slot", 0, horizon))
+        agent.error_reference()
     if collect_trace and n_real != 1:
         raise ValueError("traces are collected for single realizations only")
     m = agent.m
@@ -318,8 +320,9 @@ def run_single(env, agent, cost_schedule, horizon: int, rng: np.random.Generator
 class LockstepLearner:
     """What both learning agents share: the realization index ``_r``, the
     epsilon-greedy coins (drawn before a subclass's own draws), the Q-error
-    reference and the epsilon trace. A subclass adds ``select``, ``learn``,
-    ``trace_beta`` and ``q_table(r, space)``, realization r's Q over ``space``."""
+    reference and the epsilon trace. A subclass sets ``f``, ``n_g`` and ``n_l``
+    and adds ``select``, ``learn``, ``trace_beta`` and ``q_table(r, space)``,
+    realization r's Q over ``space``."""
 
     def __init__(self, m: int, config):
         self.m = m
@@ -338,14 +341,25 @@ class LockstepLearner:
         return self._u[:, j] < self._eps[j]
 
     def set_error_reference(self, qstar: np.ndarray, space) -> None:
-        """Reference Q table over ``space``, a state space of this network."""
+        """Reference Q table over ``space``, a state space of this learner's network:
+        the space's chain, catalog and cache sizes must be the learner's ``n_g``,
+        ``n_l``, ``f`` and ``m``, and ``qstar`` an (|S|, |A|) table over it."""
+        sizes = {"n_g": space.n_g, "n_l": space.n_l, "f": space.catalog_size, "m": space.cache_size}
+        for attr, size in sizes.items():
+            own = getattr(self, attr)
+            as_int(size, f"{type(self).__name__} reference space {attr}", own, own + 1)
+        qstar = space.check_q_table(qstar)
         self._err_ref = (qstar, float(np.linalg.norm(qstar)), space)
+
+    def error_reference(self) -> tuple:
+        """(Q*, ||Q*||_F, space) as set; raises ValueError when there is none."""
+        if self._err_ref is None:
+            raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
+        return self._err_ref
 
     def normalized_error(self) -> np.ndarray:
         """Per realization, ||Q - Q*||_F / ||Q*||_F against the reference."""
-        if self._err_ref is None:
-            raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
-        qstar, norm, space = self._err_ref
+        qstar, norm, space = self.error_reference()
         return np.array([relative_q_error(self.q_table(r, space), qstar, norm) for r in self._r])
 
     def trace_epsilon(self, j) -> float:

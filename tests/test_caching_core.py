@@ -297,6 +297,9 @@ INTEGER_HOLES = {
     "long_run_average_cost-max_iter": (lambda sp, sc: long_run(sp, 2.5), "max_iter"),
     "long_run_average_cost-bool-max_iter": (lambda sp, sc: long_run(sp, True), "max_iter"),
     "BatchLinearAgent-m": (lambda sp, sc: linear_agent(2.5), "cache capacity"),
+    "BatchLinearAgent-n_g": (
+        lambda sp, sc: cr.q_linear.BatchLinearAgent(2.5, 2, 10, 2, cr.LinearLearnerConfig()), "n_g"
+    ),
     "RandomBaselineAgent-m": (
         lambda sp, sc: cr.simulate.RandomBaselineAgent(10, 2.5), "cache capacity"
     ),

@@ -396,8 +396,45 @@ class TestAgentContract:
             agent = BatchExactAgent(small_space, cr.QLearnerConfig())
         else:
             agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        begun = []
+        agent.begin = begun.append
         with pytest.raises(ValueError, match="call set_error_reference"):
             self.run(agent, error_slots=[2])
+        assert begun == []
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("exact-f12", "^BatchExactAgent reference space f must be 10, got 12$"),
+            ("linear-1x4", "^BatchLinearAgent reference space n_g must be 1, got 2$"),
+            ("exact-shape", r"^Q table must be 180x45, got \(180, 44\)$"),
+        ],
+    )
+    def test_foreign_reference_rejected(self, small_space, kind, message):
+        """The F = 12 network's Q* for a 10-file tabular learner, the 2x2
+        space's Q* for a learner of a 1x4 network, and a Q* of the wrong shape."""
+        qstar, space = np.ones((180, 45)), small_space
+        if kind == "exact-f12":
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+            space = cr.StateSpace(*cr.small_network_chains(12), 2)
+            qstar = np.ones((space.n_states, space.n_actions))
+        elif kind == "linear-1x4":
+            agent = BatchLinearAgent(1, 4, 10, 2, cr.LinearLearnerConfig())
+        else:
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+            qstar = np.ones((180, 44))
+        with pytest.raises(ValueError, match=message):
+            agent.set_error_reference(qstar, space)
+
+    def test_linear_q_of_another_network_rejected(self, small_space):
+        """Parameters of a 1x4 network measured on the 2x2 space."""
+        params = LinearParams.zeros(1, 4, 10)
+        with pytest.raises(ValueError, match="^theta_g rows must be 2, got 1$"):
+            cr.normalized_q_error(params, np.ones((180, 45)), small_space)
+        with pytest.raises(ValueError, match="^theta_l rows must be 2, got 4$"):
+            cr.linear_q_matrix(LinearParams.zeros(2, 4, 10), small_space)
+        with pytest.raises(ValueError, match="^parameter catalog size must be 10, got 12$"):
+            cr.linear_q_matrix(LinearParams.zeros(2, 2, 12), small_space)
 
     def test_cost_params_is_the_constant_schedule(self, small_space):
         params = cr.CostParams(10, 600, 1000)
