@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .popularity import MarkovChain, PopularityProfile, as_int, as_number
+from .popularity import MarkovChain, PopularityProfile, as_int, as_number, check_keys
 
 MATERIALIZE_LIMIT = 200_000
 
@@ -183,7 +183,10 @@ class CostParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CostParams":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+        """The weights of ``doc``; a schedule segment's ``"start"`` is the one other key."""
+        names = [f.name for f in fields(cls)]
+        check_keys(doc, names + ["start"], cls.__name__)
+        return cls(**{name: doc[name] for name in names})
 
 
 @dataclass(frozen=True)

@@ -414,8 +414,9 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_json`; absent optional fields take their defaults."""
-    doc = json.loads(text)
-    kwargs = fields_from_json(Scenario, {"name": "custom", **doc}, skip=_STRUCTURED_FIELDS)
+    doc = {"name": "custom", **json.loads(text)}
+    plain = {k: v for k, v in doc.items() if k not in _STRUCTURED_FIELDS}
+    kwargs = fields_from_json(Scenario, plain)
     kwargs["g_chain"] = MarkovChain(**doc["g_chain"])
     kwargs["l_chain"] = MarkovChain(**doc["l_chain"])
     kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])

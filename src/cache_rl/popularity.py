@@ -21,8 +21,9 @@ finite; a bool, a string or a fraction fails) and the only integer range
 check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
 left as None is open; an equality is the one-value range ``[n, n + 1)``),
 :func:`as_number` (a real number, not a bool),
-:func:`as_discount` (gamma in [0, 1)) and :func:`as_probabilities` (finite,
-non-negative rows summing to 1 within ``PROB_TOL``).
+:func:`as_discount` (gamma in [0, 1)), :func:`as_probabilities` (finite,
+non-negative rows summing to 1 within ``PROB_TOL``) and :func:`check_keys` (a
+JSON document holds only the keys its decoder reads).
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def as_probabilities(values, name: str) -> np.ndarray:
     if off.any():
         raise ValueError(f"every {name} row must sum to 1 (got {float(totals[off].flat[0])!r})")
     return arr
+
+
+def check_keys(doc, allowed, name: str) -> None:
+    """Reject the first key of the document ``doc`` that is not in ``allowed``."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ValueError(f"unexpected key {unknown[0]!r} in a {name} document")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

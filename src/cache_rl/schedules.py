@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from .caching_core import CostParams
-from .popularity import as_int, as_number
+from .popularity import as_int, as_number, check_keys
 
 
 class _EpsilonRule:
@@ -134,7 +134,7 @@ def schedule_from_json(doc):
     if doc["kind"] not in _SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {doc['kind']!r}")
     cls = _SCHEDULE_KINDS[doc["kind"]]
-    return cls(**fields_from_json(cls, doc))
+    return cls(**fields_from_json(cls, {k: v for k, v in doc.items() if k != "kind"}))
 
 
 epsilon_schedule_to_json = beta_to_json = schedule_to_json
@@ -158,14 +158,13 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
     """Constructor arguments of dataclass ``cls`` given in ``doc``.
 
     Fields missing from ``doc`` are left out, so they take the dataclass
-    defaults. Schedule documents are decoded; every other value is passed on
-    as is, and the constructor of ``cls`` checks it as it checks a value
-    built in code.
+    defaults. A key that is no field of ``cls``, or a field in ``skip`` (one
+    the caller sets itself), raises ``ValueError``. Schedule documents are
+    decoded; every other value is passed on as is, and the constructor of
+    ``cls`` checks it as it checks a value built in code.
     """
-    return {
-        f.name: schedule_from_json(doc[f.name]) for f in fields(cls)
-        if f.name in doc and f.name not in skip
-    }
+    check_keys(doc, [f.name for f in fields(cls) if f.name not in skip], cls.__name__)
+    return {k: schedule_from_json(v) for k, v in doc.items()}
 
 
 @dataclass(frozen=True)

@@ -737,6 +737,29 @@ class TestScenarioFileFormat:
             "transition": g_chain.transition.tolist(),
         }
 
+    @pytest.mark.parametrize(
+        "level, key, cls",
+        [
+            ("scenario", "horizn", "Scenario"),
+            ("learner_config", "alpha", "LinearLearnerConfig"),
+            ("learner_config", "gamma", "LinearLearnerConfig"),  # the scenario's gamma wins
+            ("lambda_schedule", "lamda1", "CostParams"),
+            ("epsilon", "bogus", "ExploreThenExploit"),
+        ],
+    )
+    def test_unknown_key_rejected(self, small_net, level, key, cls):
+        config = cr.LinearLearnerConfig(epsilon=cr.ExploreThenExploit(5))
+        doc = written_doc(small_scenario(small_net, learner="linear", learner_config=config))
+        target = {
+            "scenario": doc,
+            "learner_config": doc["learner_config"],
+            "lambda_schedule": doc["lambda_schedule"][0],
+            "epsilon": doc["learner_config"]["epsilon"],
+        }[level]
+        target[key] = 1
+        with pytest.raises(ValueError, match=f"^unexpected key '{key}' in a {cls} document$"):
+            cr.scenario_from_json(json.dumps(doc))
+
     def test_missing_optional_fields_take_the_defaults(self, small_net):
         doc = written_doc(small_scenario(small_net))
         for key in ("name", "request_mode", "requests_per_slot"):
