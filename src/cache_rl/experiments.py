@@ -421,9 +421,10 @@ def scenario_from_json(text: str) -> Scenario:
     kwargs["l_chain"] = MarkovChain(**doc["l_chain"])
     kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])
     config_cls = LEARNER_CONFIGS.get(kwargs["learner"])
-    kwargs["learner_config"] = None
+    # a learner without a config class keeps the document, for Scenario to reject
+    kwargs["learner_config"] = doc.get("learner_config")
     if config_cls is not None:
-        config_doc = doc.get("learner_config") or {}
+        config_doc = kwargs["learner_config"] or {}
         kwargs["learner_config"] = config_cls(
             **fields_from_json(config_cls, config_doc, skip=("gamma",)), gamma=kwargs["gamma"]
         )

@@ -20,10 +20,10 @@ its array form :func:`as_ints`, the only definition of an integer (whole and
 finite; a bool, a string or a fraction fails) and the only integer range
 check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
 left as None is open; an equality is the one-value range ``[n, n + 1)``),
-:func:`as_number` (a real number, not a bool),
-:func:`as_discount` (gamma in [0, 1)), :func:`as_probabilities` (finite,
-non-negative rows summing to 1 within ``PROB_TOL``) and :func:`check_keys` (a
-JSON document holds only the keys its decoder reads).
+:func:`as_number` (a real number, not a bool), :func:`as_discount` (gamma in
+[0, 1)), :func:`as_probabilities` (finite, non-negative rows summing to 1
+within ``PROB_TOL``) and :func:`check_keys` (a JSON document holds only the
+keys its decoder reads).
 """
 
 from __future__ import annotations

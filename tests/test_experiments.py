@@ -760,6 +760,12 @@ class TestScenarioFileFormat:
         with pytest.raises(ValueError, match=f"^unexpected key '{key}' in a {cls} document$"):
             cr.scenario_from_json(json.dumps(doc))
 
+    def test_config_of_a_learner_that_takes_none_rejected(self, small_net):
+        doc = written_doc(small_scenario(small_net, learner="random-baseline", learner_config=None))
+        doc["learner_config"] = {"alpha_g": 0.1}
+        with pytest.raises(ValueError, match="^random-baseline learner takes no learner_config$"):
+            cr.scenario_from_json(json.dumps(doc))
+
     def test_missing_optional_fields_take_the_defaults(self, small_net):
         doc = written_doc(small_scenario(small_net))
         for key in ("name", "request_mode", "requests_per_slot"):
