@@ -88,6 +88,18 @@ class CacheAction:
         return files_mask(np.array(self.files) - 1, self.catalog_size)
 
 
+def lex_rank(f: int, m: int, files) -> int:
+    """Rank of the sorted, distinct 1-based ``files`` among all M-subsets of F files
+    in lexicographic order; :meth:`ActionSpace.action` is its inverse."""
+    rank = 0
+    prev = 0
+    for i, file_id in enumerate(files):
+        for skipped in range(prev + 1, file_id):
+            rank += math.comb(f - skipped, m - i - 1)
+        prev = file_id
+    return rank
+
+
 class ActionSpace:
     """All C(F, M) cache actions in lexicographic order, lazily indexable.
 
@@ -133,13 +145,7 @@ class ActionSpace:
         """Lexicographic rank of an action (inverse of :meth:`action`)."""
         as_int(action.catalog_size, "action catalog size", self.f, self.f + 1)
         as_int(action.cache_size, "action cache size", self.m, self.m + 1)
-        rank = 0
-        prev = 0
-        for i, file_id in enumerate(action.files):
-            for skipped in range(prev + 1, file_id):
-                rank += math.comb(self.f - skipped, self.m - i - 1)
-            prev = file_id
-        return rank
+        return lex_rank(self.f, self.m, action.files)
 
     def _check_materializable(self) -> None:
         if self.size > MATERIALIZE_LIMIT:
@@ -185,7 +191,7 @@ class CostParams:
     def from_json_dict(cls, doc: dict) -> "CostParams":
         """The weights of ``doc``; a schedule segment's ``"start"`` is the one other key."""
         names = [f.name for f in fields(cls)]
-        check_keys(doc, names + ["start"], cls.__name__)
+        check_keys(doc, names + ["start"], cls.__name__, names)
         return cls(**{name: doc[name] for name in names})
 
 

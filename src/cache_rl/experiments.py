@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .caching_core import ActionSpace, CacheAction, CostParams, cached_mass, write_table
+from .caching_core import ActionSpace, CacheAction, CostParams, cached_mass, lex_rank, write_table
 from .mdp_oracle import (
     PolicyIterationResult,
     StateSpace,
@@ -343,8 +343,7 @@ def normalized_q_error(q_hat, q_star: np.ndarray, space: StateSpace | None = Non
 def random_baseline_action(space: ActionSpace, rng: np.random.Generator) -> int:
     """Uniform action index, drawn by the engine's M-subset rule (no enumeration)."""
     files = np.sort(uniform_subsets(rng.random(space.f), space.m)) + 1
-    action = CacheAction(files=tuple(files), catalog_size=space.f)
-    return space.index_of(action)
+    return lex_rank(space.f, space.m, files.tolist())
 
 
 def export_metrics(trace: MetricsTrace, path) -> None:
@@ -414,17 +413,15 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_json`; absent optional fields take their defaults."""
-    doc = {"name": "custom", **json.loads(text)}
-    plain = {k: v for k, v in doc.items() if k not in _STRUCTURED_FIELDS}
-    kwargs = fields_from_json(Scenario, plain)
-    kwargs["g_chain"] = MarkovChain(**doc["g_chain"])
-    kwargs["l_chain"] = MarkovChain(**doc["l_chain"])
+    doc = {"name": "custom", "learner_config": None, **json.loads(text)}
+    kwargs = fields_from_json(Scenario, doc)
+    kwargs["g_chain"] = MarkovChain(**fields_from_json(MarkovChain, doc["g_chain"]))
+    kwargs["l_chain"] = MarkovChain(**fields_from_json(MarkovChain, doc["l_chain"]))
     kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])
     config_cls = LEARNER_CONFIGS.get(kwargs["learner"])
     # a learner without a config class keeps the document, for Scenario to reject
-    kwargs["learner_config"] = doc.get("learner_config")
     if config_cls is not None:
-        config_doc = kwargs["learner_config"] or {}
+        config_doc = doc["learner_config"] or {}
         kwargs["learner_config"] = config_cls(
             **fields_from_json(config_cls, config_doc, skip=("gamma",)), gamma=kwargs["gamma"]
         )

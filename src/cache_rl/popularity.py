@@ -23,7 +23,7 @@ left as None is open; an equality is the one-value range ``[n, n + 1)``),
 :func:`as_number` (a real number, not a bool), :func:`as_discount` (gamma in
 [0, 1)), :func:`as_probabilities` (finite, non-negative rows summing to 1
 within ``PROB_TOL``) and :func:`check_keys` (a JSON document holds only the
-keys its decoder reads).
+keys its decoder reads, and each key it requires).
 """
 
 from __future__ import annotations
@@ -110,11 +110,15 @@ def as_probabilities(values, name: str) -> np.ndarray:
     return arr
 
 
-def check_keys(doc, allowed, name: str) -> None:
-    """Reject the first key of the document ``doc`` that is not in ``allowed``."""
+def check_keys(doc, allowed, name: str, required=()) -> None:
+    """Reject the first key of the document ``doc`` that is not in ``allowed``,
+    then the first key in ``required`` that ``doc`` lacks."""
     unknown = [key for key in doc if key not in allowed]
     if unknown:
         raise ValueError(f"unexpected key {unknown[0]!r} in a {name} document")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in a {name} document")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

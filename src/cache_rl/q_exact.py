@@ -112,19 +112,17 @@ class BatchExactAgent(LockstepLearner):
         self.q = np.zeros(shape)
         if isinstance(self.config.beta, VisitCountBeta):
             self._visits = np.zeros(shape, dtype=np.int64)
-        self._a_idx = np.zeros(n_realizations, dtype=np.int64)
 
     def predraw(self, rngs, ts) -> None:
         super().predraw(rngs, ts)
         n_a = self.space.n_actions
         self._explore_a = np.stack([rng.integers(0, n_a, size=ts.size) for rng in rngs])
 
-    def select(self, j, g, l_seen, mask_prev):
-        space = self.space
-        s_prev = space.state_indices(g, l_seen, self._a_idx)
+    def select(self, j, g, l_seen, a_prev):
+        s_prev = self.space.state_indices(g, l_seen, a_prev)
         a = np.where(self.explores(j), self._explore_a[:, j], greedy(self.q[self._r, s_prev]))
         self._pending = (s_prev, a)
-        return space.action_masks[a]
+        return a
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         s_prev, a = self._pending
@@ -132,7 +130,6 @@ class BatchExactAgent(LockstepLearner):
         at, at_next = (self._r, s_prev, a), (self._r, s_next)
         gamma, beta = self.config.gamma, self.config.beta
         self._beta = tabular_step(self.q, self._visits, at, at_next, cost, gamma, beta)
-        self._a_idx = a
 
     def q_table(self, r, space: StateSpace) -> np.ndarray:
         """Realization r's table; ``space`` is the space the agent learns on."""

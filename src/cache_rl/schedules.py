@@ -7,7 +7,7 @@ piecewise-constant segments.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -159,11 +159,14 @@ def fields_from_json(cls, doc: dict, skip=()) -> dict:
 
     Fields missing from ``doc`` are left out, so they take the dataclass
     defaults. A key that is no field of ``cls``, or a field in ``skip`` (one
-    the caller sets itself), raises ``ValueError``. Schedule documents are
-    decoded; every other value is passed on as is, and the constructor of
-    ``cls`` checks it as it checks a value built in code.
+    the caller sets itself), raises ``ValueError``, and so does a missing
+    field that has no default. Schedule documents are decoded; every other
+    value is passed on as is, and the constructor of ``cls`` checks it as it
+    checks a value built in code.
     """
-    check_keys(doc, [f.name for f in fields(cls) if f.name not in skip], cls.__name__)
+    own = [f for f in fields(cls) if f.name not in skip]
+    required = [f.name for f in own if f.default is MISSING]
+    check_keys(doc, [f.name for f in own], cls.__name__, required)
     return {k: schedule_from_json(v) for k, v in doc.items()}
 
 
@@ -217,6 +220,9 @@ class PiecewiseCostSchedule:
 
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
+        keys = ["start", *(f.name for f in fields(CostParams))]
+        for item in doc:
+            check_keys(item, keys, "CostParams", keys)
         return cls(segments=tuple((item["start"], CostParams.from_json_dict(item)) for item in doc))
 
 

@@ -3,7 +3,8 @@
 Each slot runs the same protocol: the agent picks the next cache contents
 from the state it observed last slot, both popularity chains advance, the
 new profiles are revealed, the slot cost (refresh + local mismatch + global
-mismatch) is incurred, and the agent updates.
+mismatch) is incurred, and the agent updates. For an agent over an explicit
+state space the cost terms are read from tables built once per run.
 
 The engine runs any number of Monte Carlo realizations in lockstep,
 vectorized over realizations, with one independent Generator per
@@ -155,8 +156,12 @@ def run_lockstep(
     agent that indexes chain states), each the environment's; ``begin(R)``
     resets; ``predraw(rngs, ts)`` makes the agent's draws for the chunk of
     0-based slots ``ts``, after the engine's own; ``select(j, g, l_seen,
-    mask_prev)`` returns the new cache as an (R, F) 0/1 mask with M ones per
-    row; ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
+    prev)`` returns the new cache, which the engine keeps as the next
+    ``prev`` (the first caches files 1..M), so the agent must not write into
+    it later: (R,) action indices for an agent with ``space``, an explicit
+    state space whose catalog and cache sizes must be F and ``m`` and whose
+    slot cost is read from tables; else an (R, F) 0/1 mask with M ones per
+    row. ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
     outcome. ``error_slots`` needs ``normalized_error()`` -> (R,) and
     ``error_reference()``, which raises when there is no Q* reference;
     ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
@@ -176,6 +181,11 @@ def run_lockstep(
     as_int(agent.f, f"{name}.f", f, f + 1)
     for attr, size in (("n_g", n_g), ("n_l", n_l)):  # declared by agents that index chain states
         as_int(getattr(agent, attr, size), f"{name}.{attr}", size, size + 1)
+    m = agent.m
+    space = getattr(agent, "space", None)
+    if space is not None:
+        as_int(space.catalog_size, f"{name}.space.catalog_size", f, f + 1)
+        as_int(space.cache_size, f"{name}.space.cache_size", m, m + 1)
     windows = tuple((as_int(a, "window start"), as_int(b, "window stop")) for a, b in windows)
     for a, b in windows:
         if not 0 <= a < b <= horizon:
@@ -185,7 +195,6 @@ def run_lockstep(
         agent.error_reference()
     if collect_trace and n_real != 1:
         raise ValueError("traces are collected for single realizations only")
-    m = agent.m
     g_profiles = env.g_chain.profile_matrix()
     l_profiles = env.l_chain.profile_matrix()
     cum_g = np.cumsum(env.g_chain.transition, axis=1)
@@ -196,8 +205,14 @@ def run_lockstep(
     g = np.array([int(rng.integers(n_g)) for rng in rngs], dtype=np.int64)
     l = np.array([int(rng.integers(n_l)) for rng in rngs], dtype=np.int64)
     l_seen = l.copy()
-    mask_prev = np.zeros((n_real, f))
-    mask_prev[:, :m] = 1.0
+    if space is None:
+        prev = np.zeros((n_real, f))
+        prev[:, :m] = 1.0
+    else:
+        # cached mass of every action in every chain state; action 0 caches files 1..M
+        hit_g = cached_mass(space.action_masks, g_profiles[:, None, :])
+        hit_l = cached_mass(space.action_masks, l_profiles[:, None, :])
+        prev = np.zeros(n_real, dtype=np.int64)
 
     agent.begin(n_real)
 
@@ -240,18 +255,26 @@ def run_lockstep(
 
         for j in range(n):
             t = c0 + j
-            mask = agent.select(j, g, l_seen, mask_prev)
+            choice = agent.select(j, g, l_seen, prev)
             g_next = g_path[:, j]
             l_next = l_path[:, j]
-            uncached_g = 1.0 - cached_mass(mask, g_profiles[g_next])
+            l_next_seen = l_next
+            if space is None:  # (R, F) masks: each term is a masked sum
+                mask = choice
+                uncached_g = 1.0 - cached_mass(mask, g_profiles[g_next])
+                refresh = fetched_count(mask, prev, m)
+            else:  # (R,) action indices: each term is a table lookup
+                mask = space.action_masks[choice] if empirical else None
+                uncached_g = 1.0 - hit_g[g_next, choice]
+                refresh = space.refresh_counts[prev, choice]
             if empirical:
                 freq = counts[:, j, :] / n_req
                 cached_l = cached_mass(mask, freq)
                 l_next_seen = nearest_states(freq, l_profiles)
+            elif mask is None:
+                cached_l = hit_l[l_next, choice]
             else:
                 cached_l = cached_mass(mask, l_profiles[l_next])
-                l_next_seen = l_next
-            refresh = fetched_count(mask, mask_prev, m)
             cost = lam[0, j] * refresh + lam[1, j] * (1.0 - cached_l) + lam[2, j] * uncached_g
             agent.learn(j, g_next, l_next_seen, cost, refresh)
 
@@ -267,14 +290,15 @@ def run_lockstep(
                 err_values.append(float(agent.normalized_error().mean()))
             if trace is not None:
                 trace.l_states[t] = l_next_seen[0]
-                trace.actions[t] = np.flatnonzero(mask[0])
+                files = np.flatnonzero(mask[0]) if space is None else space.action_files[choice[0]]
+                trace.actions[t] = files
                 trace.epsilons[t] = agent.trace_epsilon(j)
                 trace.betas[t] = agent.trace_beta(j)
 
             g = g_next
             l = l_next
             l_seen = l_next_seen
-            mask_prev = mask
+            prev = choice
         del g_path, l_path, counts
 
     lengths = np.array([b - a for a, b in windows])
@@ -424,18 +448,15 @@ class OraclePolicyAgent:
         self.policy = space.check_policy(policy)
         self.f, self.n_g, self.n_l = space.catalog_size, space.n_g, space.n_l
         self.m = space.cache_size
-        self._a_idx: np.ndarray | None = None
 
     def begin(self, n_realizations: int) -> None:
-        self._a_idx = np.zeros(n_realizations, dtype=np.int64)
+        pass
 
     def predraw(self, rngs, ts) -> None:
         pass
 
-    def select(self, j, g, l_seen, mask_prev):
-        space = self.space
-        self._a_idx = self.policy[space.state_indices(g, l_seen, self._a_idx)]
-        return space.action_masks[self._a_idx]
+    def select(self, j, g, l_seen, a_prev):
+        return self.policy[self.space.state_indices(g, l_seen, a_prev)]
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         pass

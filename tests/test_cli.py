@@ -176,6 +176,18 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("key", ["g_chain", "horizon"])
+def test_run_rejects_missing_key(tmp_path, capsys, key):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    del doc[key]
+    sc_path = tmp_path / "short.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert f"missing key '{key}' in a Scenario document" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_rejects_line_break_in_name(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["name"] = "a\nb"

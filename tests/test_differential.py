@@ -18,9 +18,12 @@ Catalogs stay below 8 files, so every numpy sum over a catalog-length row
 (the engine's masked sums) is a plain left-to-right sum, and so is the
 reference's sum over the cached files in ascending order: both see the same
 nonzero terms in the same order, and the results are equal. The chunk size
-is drawn too, so chunk boundaries fall anywhere in the horizon.
+is drawn too, so chunk boundaries fall anywhere in the horizon. Larger
+catalogs are covered engine against engine: the cost an agent with an
+explicit state space reads from tables against the same policy's masked sums.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -310,6 +313,73 @@ class TestEngineAgainstManualLoop:
         assert_same_aggregates(result, per_real)
 
 
+class MaskPolicyAgent:
+    """``OraclePolicyAgent``'s policy without ``space``: it returns the chosen
+    actions as (R, F) masks, so the engine sums each cost term over them."""
+
+    def __init__(self, agent):
+        self.agent, self.f, self.m = agent, agent.f, agent.m
+
+    def begin(self, n):
+        self._a = np.zeros(n, dtype=np.int64)
+
+    def predraw(self, rngs, ts):
+        pass
+
+    def select(self, j, g, l_seen, mask_prev):
+        self._a = self.agent.select(j, g, l_seen, self._a)
+        return self.agent.space.action_masks[self._a]
+
+    def learn(self, j, g_next, l_next_seen, cost, refresh):
+        pass
+
+
+@st.composite
+def wide_instances(draw):
+    """Catalogs of 8 to 20 files, where numpy sums a row pairwise, with every
+    M whose action space stays small (up to 300 caches)."""
+    f = draw(st.integers(8, 20))
+    m = draw(st.sampled_from([m for m in range(1, f + 1) if math.comb(f, m) <= 300]))
+    inst = draw(instances(max_m=1))
+    rng = inst["rng"]
+    env = inst["env"]
+    g_chain = random_chain(rng, env.g_chain.n_states, f, duplicate=False)
+    l_chain = random_chain(rng, env.l_chain.n_states, f, duplicate=True)
+    inst["env"] = cr.PopularityEnv(g_chain, l_chain, env.request_mode, env.requests_per_slot)
+    inst["m"] = m
+    return inst
+
+
+class TestIndexTablesAgainstMasks:
+    """An agent with ``space`` has its slot cost read from tables built once
+    per run; the same policy returning masks has it summed every slot. Both
+    must give the same metrics, bit for bit, at catalogs where numpy's
+    pairwise sum is in play."""
+
+    @SETTINGS
+    @given(inst=wide_instances())
+    def test_oracle_policy_agent(self, inst):
+        env, m, horizon = inst["env"], inst["m"], inst["horizon"]
+        space = cr.StateSpace(env.g_chain, env.l_chain, m)
+        policy = inst["rng"].integers(0, space.n_actions, size=space.n_states)
+        windows = ((0, horizon), (horizon // 2, horizon))
+        runs = []
+        for agent in (
+            simulate.OraclePolicyAgent(space, policy),
+            MaskPolicyAgent(simulate.OraclePolicyAgent(space, policy)),
+        ):
+            rngs = [cr.realization_rng(inst["seed"], r) for r in range(inst["n_real"])]
+            with mock.patch.object(simulate, "CHUNK", inst["chunk"]):
+                runs.append(
+                    simulate.run_lockstep(
+                        env, agent, inst["schedule"], horizon, rngs, windows=windows
+                    )
+                )
+        tables, masks = runs
+        for name in ("avg_cost", "hit_fraction", "cost_std", "window_cost", "window_hit"):
+            np.testing.assert_array_equal(getattr(tables, name), getattr(masks, name))
+
+
 @SETTINGS
 @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
 def test_row_sum_is_numpy_row_order(n, seed):
@@ -439,8 +509,7 @@ class TestScalarApiIsTheBatchMath:
         for _ in range(3):
             agent.predraw([rng], np.arange(1))
             s_prev = space.state_index(g, l, a_prev)
-            mask = agent.select(0, np.array([g]), np.array([l]), None)
-            a = int(np.flatnonzero((space.action_masks == mask[0]).all(axis=1))[0])
+            a = int(agent.select(0, np.array([g]), np.array([l]), np.array([a_prev]))[0])
             if not case["explore"]:
                 assert learner.epsilon_greedy_action(s_prev, 0.0, lazy) == a
             g, l = int(rng.integers(space.n_g)), int(rng.integers(space.n_l))

@@ -370,6 +370,25 @@ class TestAgentContract:
             cr.simulate.run_lockstep(env, agent, sc.lambda_schedule, 5, [realization_rng(0, 0)])
         assert begun == []
 
+    @pytest.mark.parametrize("size, own, value", [("catalog_size", 10, 12), ("cache_size", 2, 3)])
+    @pytest.mark.parametrize("kind", ["exact", "oracle-policy"])
+    def test_space_mismatch_rejected_before_begin(self, small_net, kind, size, own, value):
+        """An agent whose own f and m are the 10-file network's F and M = 2,
+        but whose space has 12 files, or caches 3."""
+        chains = cr.small_network_chains(12) if size == "catalog_size" else small_net
+        space = cr.StateSpace(*chains, 3 if size == "cache_size" else 2)
+        if kind == "exact":
+            agent = BatchExactAgent(space, cr.QLearnerConfig())
+        else:
+            agent = cr.simulate.OraclePolicyAgent(space, np.zeros(space.n_states, dtype=np.int64))
+        agent.f, agent.m = 10, 2
+        begun = []
+        agent.begin = begun.append
+        message = f"^{type(agent).__name__}.space.{size} must be {own}, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            self.run(agent)
+        assert begun == []
+
     @pytest.mark.parametrize(
         "options, message",
         [
@@ -758,6 +777,31 @@ class TestScenarioFileFormat:
         }[level]
         target[key] = 1
         with pytest.raises(ValueError, match=f"^unexpected key '{key}' in a {cls} document$"):
+            cr.scenario_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "level, key, cls",
+        [
+            ("scenario", "g_chain", "Scenario"),
+            ("scenario", "learner", "Scenario"),
+            ("scenario", "horizon", "Scenario"),
+            ("g_chain", "transition", "MarkovChain"),
+            ("lambda_schedule", "start", "CostParams"),
+            ("lambda_schedule", "lambda2", "CostParams"),
+            ("epsilon", "t_explore", "ExploreThenExploit"),
+        ],
+    )
+    def test_missing_key_rejected(self, small_net, level, key, cls):
+        config = cr.LinearLearnerConfig(epsilon=cr.ExploreThenExploit(5))
+        doc = written_doc(small_scenario(small_net, learner="linear", learner_config=config))
+        target = {
+            "scenario": doc,
+            "g_chain": doc["g_chain"],
+            "lambda_schedule": doc["lambda_schedule"][0],
+            "epsilon": doc["learner_config"]["epsilon"],
+        }[level]
+        del target[key]
+        with pytest.raises(ValueError, match=f"^missing key '{key}' in a {cls} document$"):
             cr.scenario_from_json(json.dumps(doc))
 
     def test_config_of_a_learner_that_takes_none_rejected(self, small_net):
