@@ -1,16 +1,17 @@
 """Cache actions, the feasible action set, and slot cost functions.
 
 A caching action is the size-M subset of the F-file catalog held in the
-cache for one slot. The aggregate slot cost is the sum of three parts:
-a per-file refresh charge for newly fetched files, and two mismatch
-charges that penalize the popularity mass (local and global) left
-uncached. Every slot cost, the engine's on (R, F) masks and those of
-``refresh_cost``, ``mismatch_cost``, ``aggregate_cost`` and
-``expected_cost`` on one mask, is built from ``cached_mass`` and
-``fetched_count``. All functions here are pure and operate on immutable
-inputs, except :func:`write_table`, the one writer of every CSV table the
-package exports: UTF-8, LF line endings, floats as 17 significant digits,
-and cached files labelled by :func:`files_label`.
+cache for one slot. The aggregate slot cost is the sum of three parts: a
+per-file refresh charge for newly fetched files, and two mismatch charges
+that penalize the popularity mass (local and global) left uncached. Every
+mismatch term is built from ``cached_mass``. The refresh term is
+``fetched_count`` on masks (the engine's (R, F) slot cost, ``refresh_cost``,
+``aggregate_cost`` and ``expected_cost``), and ``StateSpace.refresh_counts``
+where actions are indices: in the oracle, and in the engine for an agent over
+an explicit state space. All functions here are pure and operate on
+immutable inputs, except :func:`write_table`, the one writer of every CSV
+table the package exports: UTF-8, LF line endings, floats as 17 significant
+digits, and cached files labelled by :func:`files_label`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .popularity import MarkovChain, PopularityProfile, as_int, as_number, check_keys
+from .popularity import MarkovChain, PopularityProfile, as_int, as_number, fields_from_json
 
 MATERIALIZE_LIMIT = 200_000
 
@@ -189,10 +190,7 @@ class CostParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CostParams":
-        """The weights of ``doc``; a schedule segment's ``"start"`` is the one other key."""
-        names = [f.name for f in fields(cls)]
-        check_keys(doc, names + ["start"], cls.__name__, names)
-        return cls(**{name: doc[name] for name in names})
+        return cls(**fields_from_json(cls, doc, "cost weights"))
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,15 @@ from .mdp_oracle import (
     relative_q_error,
 )
 from .popularity import MarkovChain, PopularityProfile, random_chain, zipf_profile
-from .popularity import as_discount, as_int
+from .popularity import as_discount, as_int, fields_from_json
 from .q_exact import BatchExactAgent, QLearnerConfig
 from .q_linear import BatchLinearAgent, LinearLearnerConfig, LinearParams, linear_q_matrix
 from .schedules import (
     ExploreThenInverseDecay,
     PiecewiseCostSchedule,
     as_cost_schedule,
-    fields_from_json,
     fields_to_json,
+    schedule_from_json,
 )
 from .simulate import (
     MetricsTrace,
@@ -413,18 +413,21 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     """Inverse of :func:`scenario_to_json`; absent optional fields take their defaults."""
-    doc = {"name": "custom", "learner_config": None, **json.loads(text)}
-    kwargs = fields_from_json(Scenario, doc)
-    kwargs["g_chain"] = MarkovChain(**fields_from_json(MarkovChain, doc["g_chain"]))
-    kwargs["l_chain"] = MarkovChain(**fields_from_json(MarkovChain, doc["l_chain"]))
+    doc = json.loads(text)
+    if isinstance(doc, dict):  # a file may leave out these two, unlike code
+        doc = {"name": "custom", "learner_config": None, **doc}
+    kwargs = fields_from_json(Scenario, doc, "scenario")
+    for key in ("g_chain", "l_chain"):
+        kwargs[key] = MarkovChain(**fields_from_json(MarkovChain, doc[key], key))
     kwargs["lambda_schedule"] = PiecewiseCostSchedule.from_json(doc["lambda_schedule"])
-    config_cls = LEARNER_CONFIGS.get(kwargs["learner"])
+    learner = kwargs["learner"]
+    config_cls = LEARNER_CONFIGS.get(learner) if isinstance(learner, str) else None
     # a learner without a config class keeps the document, for Scenario to reject
     if config_cls is not None:
-        config_doc = doc["learner_config"] or {}
-        kwargs["learner_config"] = config_cls(
-            **fields_from_json(config_cls, config_doc, skip=("gamma",)), gamma=kwargs["gamma"]
-        )
+        config_doc = {} if doc["learner_config"] is None else doc["learner_config"]
+        config = fields_from_json(config_cls, config_doc, "learner_config", skip=("gamma",))
+        config = {key: schedule_from_json(value) for key, value in config.items()}
+        kwargs["learner_config"] = config_cls(**config, gamma=kwargs["gamma"])
     return Scenario(**kwargs)
 
 

@@ -22,15 +22,15 @@ check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
 left as None is open; an equality is the one-value range ``[n, n + 1)``),
 :func:`as_number` (a real number, not a bool), :func:`as_discount` (gamma in
 [0, 1)), :func:`as_probabilities` (finite, non-negative rows summing to 1
-within ``PROB_TOL``) and :func:`check_keys` (a JSON document holds only the
-keys its decoder reads, and each key it requires).
+within ``PROB_TOL``) and :func:`fields_from_json`, every JSON decoder's rule
+(an object holding only the keys its decoder reads, and each it requires).
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -101,6 +101,7 @@ def as_probabilities(values, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
     arr = arr.astype(np.float64)
+    as_int(arr.ndim, f"{name} ndim", 1)
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError(f"{name} entries must be finite and non-negative")
     totals = arr.sum(axis=-1)
@@ -110,15 +111,26 @@ def as_probabilities(values, name: str) -> np.ndarray:
     return arr
 
 
-def check_keys(doc, allowed, name: str, required=()) -> None:
-    """Reject the first key of the document ``doc`` that is not in ``allowed``,
-    then the first key in ``required`` that ``doc`` lacks."""
+def fields_from_json(cls, doc, name: str, *, skip=(), extra=()) -> dict:
+    """The fields of dataclass ``cls`` in ``doc``, the JSON document read for ``name``.
+
+    ``doc`` must be an object whose keys are fields of ``cls`` not in ``skip``
+    (those the caller sets itself) or ``extra`` keys (those the caller reads
+    itself); each ``extra`` key and field without a default must be present.
+    The values are left for the constructor of ``cls`` to check.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a {cls.__name__} document (a JSON object), got {doc!r}")
+    own = [f for f in fields(cls) if f.name not in skip]
+    allowed = [*extra, *(f.name for f in own)]
+    required = [*extra, *(f.name for f in own if f.default is MISSING)]
     unknown = [key for key in doc if key not in allowed]
     if unknown:
-        raise ValueError(f"unexpected key {unknown[0]!r} in a {name} document")
+        raise ValueError(f"unexpected key {unknown[0]!r} in a {cls.__name__} document")
     missing = [key for key in required if key not in doc]
     if missing:
-        raise ValueError(f"missing key {missing[0]!r} in a {name} document")
+        raise ValueError(f"missing key {missing[0]!r} in a {cls.__name__} document")
+    return {key: value for key, value in doc.items() if key not in extra}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -154,7 +166,7 @@ class MarkovChain:
 
     def __post_init__(self) -> None:
         states = self.states
-        if not all(isinstance(s, PopularityProfile) for s in states):
+        if np.ndim(states) != 1 or not all(isinstance(s, PopularityProfile) for s in states):
             states = map(PopularityProfile, as_probabilities(states, "states"))
         states = tuple(states)
         as_int(len(states), "chain state count", 1)
@@ -189,7 +201,7 @@ class MarkovChain:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkovChain":
-        return cls(**json.loads(text))
+        return cls(**fields_from_json(cls, json.loads(text), "chain"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -7,12 +7,12 @@ piecewise-constant segments.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .caching_core import CostParams
-from .popularity import as_int, as_number, check_keys
+from .popularity import as_int, as_number, fields_from_json
 
 
 class _EpsilonRule:
@@ -131,10 +131,10 @@ def schedule_from_json(doc):
     is returned as is, for the constructor that takes it to check."""
     if not (isinstance(doc, dict) and "kind" in doc):
         return doc
-    if doc["kind"] not in _SCHEDULE_KINDS:
+    cls = _SCHEDULE_KINDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
+    if cls is None:
         raise ValueError(f"unknown schedule kind {doc['kind']!r}")
-    cls = _SCHEDULE_KINDS[doc["kind"]]
-    return cls(**fields_from_json(cls, {k: v for k, v in doc.items() if k != "kind"}))
+    return cls(**fields_from_json(cls, doc, "schedule", extra=("kind",)))
 
 
 epsilon_schedule_to_json = beta_to_json = schedule_to_json
@@ -152,22 +152,6 @@ def fields_to_json(obj, skip=()) -> dict:
     """JSON document of a dataclass: one key per field, schedules encoded."""
     values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
     return {k: schedule_to_json(v) if is_dataclass(v) else v for k, v in values.items()}
-
-
-def fields_from_json(cls, doc: dict, skip=()) -> dict:
-    """Constructor arguments of dataclass ``cls`` given in ``doc``.
-
-    Fields missing from ``doc`` are left out, so they take the dataclass
-    defaults. A key that is no field of ``cls``, or a field in ``skip`` (one
-    the caller sets itself), raises ``ValueError``, and so does a missing
-    field that has no default. Schedule documents are decoded; every other
-    value is passed on as is, and the constructor of ``cls`` checks it as it
-    checks a value built in code.
-    """
-    own = [f for f in fields(cls) if f.name not in skip]
-    required = [f.name for f in own if f.default is MISSING]
-    check_keys(doc, [f.name for f in own], cls.__name__, required)
-    return {k: schedule_from_json(v) for k, v in doc.items()}
 
 
 @dataclass(frozen=True)
@@ -220,10 +204,11 @@ class PiecewiseCostSchedule:
 
     @classmethod
     def from_json(cls, doc: list) -> "PiecewiseCostSchedule":
-        keys = ["start", *(f.name for f in fields(CostParams))]
-        for item in doc:
-            check_keys(item, keys, "CostParams", keys)
-        return cls(segments=tuple((item["start"], CostParams.from_json_dict(item)) for item in doc))
+        if not isinstance(doc, list):
+            raise ValueError(f"lambda_schedule must be a list of CostParams documents, got {doc!r}")
+        name = "lambda_schedule segment"
+        params = [fields_from_json(CostParams, item, name, extra=("start",)) for item in doc]
+        return cls(segments=tuple((item["start"], CostParams(**p)) for item, p in zip(doc, params)))
 
 
 def as_cost_schedule(value) -> PiecewiseCostSchedule:

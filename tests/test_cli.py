@@ -188,6 +188,25 @@ def test_run_rejects_missing_key(tmp_path, capsys, key):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("g_chain", 5, "g_chain must be a MarkovChain document (a JSON object), got 5"),
+        ("lambda_schedule", {}, "lambda_schedule must be a list of CostParams documents, got {}"),
+        ("learner_config", [1], "learner_config must be a QLearnerConfig document"),
+    ],
+)
+def test_run_rejects_wrong_json_type(tmp_path, capsys, key, bad, message):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc[key] = bad
+    sc_path = tmp_path / "typed.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_rejects_line_break_in_name(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["name"] = "a\nb"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ class TestPresets:
             ("requests_per_slot", 2.5, "must be an integer"),
             ("gamma", "0.8", "must be a number"),
             ("learner", 5, "must be a string"),
+            ("learner", [5], "must be a string"),
             ("name", "a\nb", "must not contain a line break"),
             ("name", "a\rb", "must not contain a line break"),
         ):
@@ -674,6 +676,36 @@ def written_doc(scenario):
     return json.loads(cr.scenario_to_json(scenario))
 
 
+# Values of each JSON type, with a falsy one where the type has one, so that
+# none of them can pass for an absent key.
+JSON_VALUES = {
+    "number": (5, 0),
+    "string": ("x", ""),
+    "list": ([5], []),
+    "object": ({},),
+    "bool": (True, False),
+    "null": (None,),
+}
+# Each nested level of a scenario document: the JSON types it may hold (null
+# where the key is optional), and how the error for any other type begins.
+DOCUMENT_LEVELS = {
+    "scenario": (("object",), "scenario must be a Scenario document (a JSON object), got "),
+    "g_chain": (("object",), "g_chain must be a MarkovChain document (a JSON object), got "),
+    "l_chain": (("object",), "l_chain must be a MarkovChain document (a JSON object), got "),
+    "lambda_schedule": (("list",), "lambda_schedule must be a list of CostParams documents, got "),
+    "segment": (("object",), "lambda_schedule segment must be a CostParams document"),
+    "learner_config": (("object", "null"), "learner_config must be a LinearLearnerConfig document"),
+    "epsilon": (("number", "object", "null"), "epsilon must "),
+}
+WRONG_TYPED = [
+    pytest.param(level, value, id=f"{level}-{json.dumps(value)}")
+    for level, (types, _) in DOCUMENT_LEVELS.items()
+    for kind, values in JSON_VALUES.items()
+    if kind not in types
+    for value in values
+]
+
+
 class TestScenarioFileFormat:
     """The scenario file format, pinned as literal documents."""
 
@@ -804,6 +836,22 @@ class TestScenarioFileFormat:
         with pytest.raises(ValueError, match=f"^missing key '{key}' in a {cls} document$"):
             cr.scenario_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("level, value", WRONG_TYPED)
+    def test_wrong_json_type_names_its_key(self, small_net, level, value):
+        config = cr.LinearLearnerConfig(epsilon=cr.ExploreThenExploit(5))
+        doc = written_doc(small_scenario(small_net, learner="linear", learner_config=config))
+        if level == "scenario":
+            doc = value
+        else:
+            target, key = {
+                "segment": (doc["lambda_schedule"], 0),
+                "epsilon": (doc["learner_config"], "epsilon"),
+            }.get(level, (doc, level))
+            target[key] = value
+        message = DOCUMENT_LEVELS[level][1]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            cr.scenario_from_json(json.dumps(doc))
+
     def test_config_of_a_learner_that_takes_none_rejected(self, small_net):
         doc = written_doc(small_scenario(small_net, learner="random-baseline", learner_config=None))
         doc["learner_config"] = {"alpha_g": 0.1}
@@ -819,3 +867,8 @@ class TestScenarioFileFormat:
         assert back.name == "custom"
         assert back.request_mode == "state" and back.requests_per_slot == 100
         assert back.learner_config == cr.QLearnerConfig()
+        # so do a null and an absent learner_config; other falsy values fail (above)
+        doc["learner_config"] = None
+        assert cr.scenario_from_json(json.dumps(doc)).learner_config == cr.QLearnerConfig()
+        del doc["learner_config"]
+        assert cr.scenario_from_json(json.dumps(doc)).learner_config == cr.QLearnerConfig()

@@ -99,6 +99,23 @@ class TestProfileAndChainInvariants:
         back = cr.MarkovChain.load(path)
         np.testing.assert_array_equal(back.transition, l_chain.transition)
 
+    def test_chain_file_keys_checked(self, small_net, tmp_path):
+        """A chain file is decoded by the rule of scenario files: each bad document
+        names its key, from a string and from a file alike."""
+        good = json.loads(small_net[0].to_json())
+        path = tmp_path / "chain.json"
+        for doc, message in (
+            ({"states": good["states"]}, "missing key 'transition' in a MarkovChain document"),
+            ({**good, "x": 1}, "unexpected key 'x' in a MarkovChain document"),
+            ([good], "chain must be a MarkovChain document (a JSON object), got [{"),
+            ({**good, "states": 5}, "states ndim must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                cr.MarkovChain.from_json(json.dumps(doc))
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                cr.MarkovChain.load(path)
+
 
 class TestStepChain:
     def test_identity_transition_stays_put(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,10 @@ class TestEpsilonSchedules:
                 ExploreThenExploit(t_explore=bad)
         with pytest.raises(ValueError):
             epsilon_schedule_from_json({"kind": "bogus"})
+        # a kind that is no string, hashable or not, is an unknown kind too
+        for bad in ([], {}, 5, None):
+            with pytest.raises(ValueError, match=f"^unknown schedule kind {re.escape(repr(bad))}$"):
+                beta_from_json({"kind": bad})
         for bad in (True, False):
             with pytest.raises(ValueError, match="epsilon must not be a boolean"):
                 epsilon_schedule_from_json(bad)
@@ -113,6 +119,8 @@ class TestPiecewiseCostSchedule:
             PiecewiseCostSchedule(segments=((0, p), (0, p)))
         doc = [{"start": 0, **p.to_json_dict()}, {"start": 50, **p.to_json_dict()}]
         assert PiecewiseCostSchedule.from_json(doc).segments[1][0] == 50
+        with pytest.raises(ValueError, match="^lambda_schedule must be a list of CostParams"):
+            PiecewiseCostSchedule.from_json(doc[0])
         # each bad value fails with one message, read from a document or passed in code
         for bad in (50.9, True, 1.5):
             doc[1]["start"] = bad
