@@ -97,7 +97,10 @@ def as_probabilities(values, name: str) -> np.ndarray:
         bad = [x for x in np.asarray(values, dtype=object).flat if isinstance(x, (str, bool))]
         if bad:
             raise ValueError(f"{name} must hold numbers, got {bad[0]!r}")
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape" names no key
+        raise ValueError(f"{name} rows must all have one length") from None
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
     arr = arr.astype(np.float64)
@@ -166,7 +169,9 @@ class MarkovChain:
 
     def __post_init__(self) -> None:
         states = self.states
-        if np.ndim(states) != 1 or not all(isinstance(s, PopularityProfile) for s in states):
+        if not isinstance(states, (tuple, list)) or not all(
+            isinstance(s, PopularityProfile) for s in states
+        ):
             states = map(PopularityProfile, as_probabilities(states, "states"))
         states = tuple(states)
         as_int(len(states), "chain state count", 1)

@@ -11,6 +11,9 @@ vectorized over realizations, with one independent Generator per
 realization. Randomness is pre-drawn in fixed-size chunks in a fixed order
 (chain draws, then request samples, then agent draws), so a realization
 re-run alone reproduces bit-identically the trace it had inside a batch.
+Each chunk's chain paths are walked up front through a table built once
+per run, and the per-slot metrics are reduced once per block of slots (see
+:func:`run_lockstep`).
 
 Two revelation modes are supported. In "state" mode the true local chain
 state is revealed each slot. In "empirical" mode the agent instead sees a
@@ -31,7 +34,7 @@ from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_state
 from .schedules import PiecewiseCostSchedule, as_cost_schedule
 
 CHUNK = 2048
-DRAW_ROWS = 256  # rows of uniforms per Generator call in UniformActionDraws
+DRAW_ROWS = 256  # UniformActionDraws' rows per Generator call; run_lockstep's metric block
 
 REQUEST_MODES = ("state", "empirical")
 
@@ -168,6 +171,14 @@ def run_lockstep(
     :class:`LockstepLearner` has. Every option is checked before
     ``agent.begin``: a bad schedule raises ``TypeError``, and any other bad
     option ``ValueError``.
+
+    Hot path: both chains' states for a chunk come from :func:`chain_path`
+    as (n, R) slot-major paths, so slot j reads row j. Each slot stores its
+    (R,) cost and hit fraction as one row of a (``DRAW_ROWS``, R) buffer;
+    a full block (or the last slot) gets its per-slot means as row sums, bit
+    for bit each row's own ``.mean()``, and its window sums row by row in
+    slot order. The cost of an agent with ``space`` is read from its tables
+    by flat index.
     """
     cost_schedule = as_cost_schedule(cost_schedule)
     horizon = as_int(horizon, "horizon", 1)
@@ -197,8 +208,8 @@ def run_lockstep(
         raise ValueError("traces are collected for single realizations only")
     g_profiles = env.g_chain.profile_matrix()
     l_profiles = env.l_chain.profile_matrix()
-    cum_g = np.cumsum(env.g_chain.transition, axis=1)
-    cum_l = np.cumsum(env.l_chain.transition, axis=1)
+    walk_g = walk_table(np.cumsum(env.g_chain.transition, axis=1))
+    walk_l = walk_table(np.cumsum(env.l_chain.transition, axis=1))
     empirical = env.request_mode == "empirical"
     n_req = env.requests_per_slot
 
@@ -212,6 +223,7 @@ def run_lockstep(
         # cached mass of every action in every chain state; action 0 caches files 1..M
         hit_g = cached_mass(space.action_masks, g_profiles[:, None, :])
         hit_l = cached_mass(space.action_masks, l_profiles[:, None, :])
+        n_a = space.n_actions
         prev = np.zeros(n_real, dtype=np.int64)
 
     agent.begin(n_real)
@@ -223,6 +235,22 @@ def run_lockstep(
     win_hit = np.zeros((n_real, len(windows)))
     snapshots = set() if error_slots is None else set(error_slots.tolist())
     err_values: list[float] = []
+    block = DRAW_ROWS
+    cost_rows = np.empty((min(block, horizon), n_real))  # the current block's slots
+    hit_rows = np.empty_like(cost_rows)
+
+    def reduce_block(t0: int, k: int) -> None:
+        """Fold the block's k slots from t0 into the means and window sums."""
+        costs, hits = cost_rows[:k], hit_rows[:k]
+        for w, (a, b) in enumerate(windows):
+            for t in range(max(a, t0), min(b, t0 + k)):  # row by row, in slot order
+                win_cost[:, w] += costs[t - t0]
+                win_hit[:, w] += hits[t - t0]
+        # the sum of a contiguous (R,) row is bit for bit its .sum(), and sum / R its .mean()
+        cost_mean[t0 : t0 + k] = costs.sum(axis=1) / n_real
+        hit_mean[t0 : t0 + k] = hits.sum(axis=1) / n_real
+        np.multiply(costs, costs, out=costs)
+        cost_sqmean[t0 : t0 + k] = costs.sum(axis=1) / n_real
 
     trace = None
     if collect_trace:
@@ -239,53 +267,53 @@ def run_lockstep(
         n = min(CHUNK, horizon - c0)
         ts = np.arange(c0, c0 + n, dtype=np.int64)
         lam = cost_schedule.lambda_arrays(c0, c0 + n)
-        u_g = np.stack([rng.random(n) for rng in rngs])
-        u_l = np.stack([rng.random(n) for rng in rngs])
-        g_path = chain_path(cum_g, g, u_g)
-        l_path = chain_path(cum_l, l, u_l)
-        del u_g, u_l
+        u = np.empty((n, n_real))  # slot-major; per realization the global draws come first
+        for r, rng in enumerate(rngs):
+            u[:, r] = rng.random(n)
+        g_path = chain_path(walk_g, g, u)
+        for r, rng in enumerate(rngs):
+            u[:, r] = rng.random(n)
+        l_path = chain_path(walk_l, l, u)
+        del u
         counts = None
         if empirical:
             counts = np.stack(
-                [rngs[r].multinomial(n_req, l_profiles[l_path[r]]) for r in range(n_real)]
+                [rngs[r].multinomial(n_req, l_profiles[l_path[:, r]]) for r in range(n_real)]
             )
         agent.predraw(rngs, ts)
         if trace is not None:
-            trace.g_states[c0 : c0 + n] = g_path[0]
+            trace.g_states[c0 : c0 + n] = g_path[:, 0]
 
         for j in range(n):
             t = c0 + j
             choice = agent.select(j, g, l_seen, prev)
-            g_next = g_path[:, j]
-            l_next = l_path[:, j]
+            g_next = g_path[j]
+            l_next = l_path[j]
             l_next_seen = l_next
             if space is None:  # (R, F) masks: each term is a masked sum
                 mask = choice
                 uncached_g = 1.0 - cached_mass(mask, g_profiles[g_next])
                 refresh = fetched_count(mask, prev, m)
-            else:  # (R,) action indices: each term is a table lookup
+            else:  # (R,) action indices: each term is a flat table lookup
                 mask = space.action_masks[choice] if empirical else None
-                uncached_g = 1.0 - hit_g[g_next, choice]
-                refresh = space.refresh_counts[prev, choice]
+                uncached_g = 1.0 - hit_g.take(g_next * n_a + choice)
+                refresh = space.refresh_counts.take(prev * n_a + choice)
             if empirical:
                 freq = counts[:, j, :] / n_req
                 cached_l = cached_mass(mask, freq)
                 l_next_seen = nearest_states(freq, l_profiles)
             elif mask is None:
-                cached_l = hit_l[l_next, choice]
+                cached_l = hit_l.take(l_next * n_a + choice)
             else:
                 cached_l = cached_mass(mask, l_profiles[l_next])
             cost = lam[0, j] * refresh + lam[1, j] * (1.0 - cached_l) + lam[2, j] * uncached_g
             agent.learn(j, g_next, l_next_seen, cost, refresh)
 
-            # sum / R is bit for bit .mean(), without its Python-level wrapper
-            cost_mean[t] = cost.sum() / n_real
-            cost_sqmean[t] = (cost * cost).sum() / n_real
-            hit_mean[t] = cached_l.sum() / n_real
-            for w, (a, b) in enumerate(windows):
-                if a <= t < b:
-                    win_cost[:, w] += cost
-                    win_hit[:, w] += cached_l
+            k = t % block + 1  # slots of the current block so far
+            cost_rows[k - 1] = cost
+            hit_rows[k - 1] = cached_l
+            if k == block or t == horizon - 1:
+                reduce_block(t + 1 - k, k)
             if t in snapshots:
                 err_values.append(float(agent.normalized_error().mean()))
             if trace is not None:
@@ -319,13 +347,41 @@ def run_lockstep(
     )
 
 
-def chain_path(cum: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(R, n) chain states stepped from ``start`` by the (R, n) uniforms ``u`` over rows ``cum``."""
-    path = np.empty(u.shape, dtype=np.int64)
+def walk_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk table of a chain with cumulative transition rows ``cum``.
+
+    Returns (bounds, table): ``bounds`` are the values of ``cum`` in
+    ascending order, and ``table[k, s]`` is the next state from state s for
+    a uniform u with exactly k bounds <= u. No row value lies strictly
+    between u and the largest bound <= u, so :func:`next_states` at that
+    bound (at -inf for k = 0) counts the same row entries as at u itself,
+    clamp included: the walk is exact. (A repeated value leaves a bin that
+    no uniform reaches.) For n_s states the table has n_s**2 + 1 bins by
+    n_s states, in the smallest integer type that holds a state: about
+    125 KB at 50 states.
+    """
+    bounds = np.sort(cum, axis=None)
+    lower = np.concatenate(([-np.inf], bounds))
+    table = np.empty((lower.size, len(cum)), dtype=np.min_scalar_type(len(cum) - 1))
+    for s, row in enumerate(cum):
+        table[:, s] = next_states(row, lower)
+    return bounds, table
+
+
+def chain_path(walk: tuple, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(n, R) chain states stepped from the (R,) ``start`` by the (n, R) uniforms ``u``.
+
+    The path is slot-major, so each slot reads one contiguous row. One
+    ``searchsorted`` places every uniform among the walk's bounds; each slot
+    is then one flat ``take`` from the table of :func:`walk_table`.
+    """
+    bounds, table = walk
+    path = np.searchsorted(bounds, u, side="right")
+    path *= table.shape[1]  # flat offset of the bin's table row
     state = start
-    for j in range(u.shape[1]):
-        state = next_states(cum[state], u[:, j])
-        path[:, j] = state
+    for row in path:
+        state = table.take(row + state)
+        row[:] = state
     return path
 
 

@@ -154,6 +154,19 @@ def test_non_finite_probability_exits_2(tmp_path, capsys, chain, key, row):
     assert not list(tmp_path.glob("o_*"))
 
 
+@pytest.mark.parametrize("chain, key", [("l_chain", "states"), ("g_chain", "transition")])
+def test_ragged_rows_exit_2(tmp_path, capsys, chain, key):
+    # row 1 of a local profile matrix, or of a global transition matrix, cut to one entry
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc[chain][key][1] = doc[chain][key][1][:1]
+    sc_path = tmp_path / "ragged.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert f"error: {key} rows must all have one length" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_rejects_fractional_int_field(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["horizon"] = 50.9

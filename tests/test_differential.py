@@ -18,9 +18,12 @@ Catalogs stay below 8 files, so every numpy sum over a catalog-length row
 (the engine's masked sums) is a plain left-to-right sum, and so is the
 reference's sum over the cached files in ascending order: both see the same
 nonzero terms in the same order, and the results are equal. The chunk size
-is drawn too, so chunk boundaries fall anywhere in the horizon. Larger
+and the engine's metric block size are drawn too, so their boundaries fall
+anywhere in the horizon, and so are windows, which straddle them. Larger
 catalogs are covered engine against engine: the cost an agent with an
 explicit state space reads from tables against the same policy's masked sums.
+The engine's chain walk is checked against ``next_states`` and ``step_chain``
+stepping on its own.
 """
 
 import math
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 
 import cache_rl as cr
 from cache_rl import simulate
+from cache_rl.popularity import PROB_TOL, next_states
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.q_linear import BatchLinearAgent
 from cache_rl.schedules import VisitCountBeta
@@ -84,12 +88,15 @@ def instances(draw, max_m):
         request_mode=mode,
         requests_per_slot=draw(st.integers(1, 30)),
     )
+    bounds = st.lists(st.integers(0, horizon), min_size=2, max_size=2, unique=True).map(sorted)
     return dict(
         env=env,
         m=m,
         schedule=cr.PiecewiseCostSchedule(segments=tuple(segments)),
         horizon=horizon,
         chunk=draw(st.integers(1, horizon + 1)),
+        block=draw(st.integers(1, horizon + 1)),
+        windows=tuple(map(tuple, draw(st.lists(bounds, max_size=3)))),
         n_real=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32 - 1)),
         epsilon=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
@@ -97,11 +104,22 @@ def instances(draw, max_m):
     )
 
 
+def sizes_of(inst):
+    """The instance's chunk and metric block sizes, patched into the engine."""
+    return mock.patch.multiple(simulate, CHUNK=inst["chunk"], DRAW_ROWS=inst["block"])
+
+
 def run_engine(inst, agent, collect_trace=False):
     rngs = [cr.realization_rng(inst["seed"], r) for r in range(inst["n_real"])]
-    with mock.patch.object(simulate, "CHUNK", inst["chunk"]):
+    with sizes_of(inst):
         return simulate.run_lockstep(
-            inst["env"], agent, inst["schedule"], inst["horizon"], rngs, collect_trace
+            inst["env"],
+            agent,
+            inst["schedule"],
+            inst["horizon"],
+            rngs,
+            collect_trace,
+            windows=inst["windows"],
         )
 
 
@@ -169,13 +187,28 @@ def manual_run(inst, realization, agent_draws, choose, update):
     return costs, hits, actions, g_states, l_states
 
 
-def assert_same_aggregates(result, per_real):
+def assert_same_aggregates(result, per_real, windows):
     """Per-slot means over realizations, each taken over one contiguous
     (R,) vector as the engine takes it (a strided axis-0 mean may add the
-    terms in another order)."""
-    for k, got in enumerate((result.avg_cost, result.hit_fraction)):
-        per_slot = np.array([run[k] for run in per_real]).T.copy()
-        np.testing.assert_array_equal(got, [row.mean() for row in per_slot])
+    terms in another order); the per-slot standard deviation from the means
+    of the costs and of their squares; and per realization and window, the
+    mean cost and hit fraction, summed slot by slot from zero."""
+    costs, hits = (np.array([run[k] for run in per_real]).T.copy() for k in (0, 1))
+    cost_mean = np.array([row.mean() for row in costs])
+    sq_mean = np.array([(row * row).mean() for row in costs])
+    np.testing.assert_array_equal(result.avg_cost, cost_mean)
+    np.testing.assert_array_equal(result.hit_fraction, [row.mean() for row in hits])
+    std = np.sqrt(np.maximum(sq_mean - cost_mean**2, 0.0))
+    np.testing.assert_array_equal(result.cost_std, std)
+    for k, got in enumerate((result.window_cost, result.window_hit)):
+        want = np.zeros((len(per_real), len(windows)))
+        for r, run in enumerate(per_real):
+            for w, (a, b) in enumerate(windows):
+                total = 0.0
+                for x in run[k][a:b]:
+                    total += x
+                want[r, w] = total / (b - a)
+        np.testing.assert_array_equal(got, want)
 
 
 def assert_same_trace(result, per_real):
@@ -232,7 +265,7 @@ class TestEngineAgainstManualLoop:
                 manual_run(inst, r, explore_draws(space.n_actions), choose, update)
             )
             np.testing.assert_array_equal(agent.q[r], np.array(learner.q))
-        assert_same_aggregates(result, per_real)
+        assert_same_aggregates(result, per_real, inst["windows"])
         assert_same_trace(result, per_real)
 
     # The engine's min over next caches sums the top-M scores in
@@ -272,7 +305,7 @@ class TestEngineAgainstManualLoop:
             np.testing.assert_array_equal(agent.theta_g[r], np.array(learner.theta_g))
             np.testing.assert_array_equal(agent.theta_l[r], np.array(learner.theta_l))
             assert agent.theta_r[r] == learner.theta_r
-        assert_same_aggregates(result, per_real)
+        assert_same_aggregates(result, per_real, inst["windows"])
         assert_same_trace(result, per_real)
 
     @SETTINGS
@@ -292,7 +325,7 @@ class TestEngineAgainstManualLoop:
             manual_run(inst, r, lambda rng, n: None, choose, lambda *args: None)
             for r in range(inst["n_real"])
         ]
-        assert_same_aggregates(result, per_real)
+        assert_same_aggregates(result, per_real, inst["windows"])
 
     @SETTINGS
     @given(inst=instances(max_m=6))
@@ -310,7 +343,7 @@ class TestEngineAgainstManualLoop:
         per_real = [
             manual_run(inst, r, draws, choose, lambda *args: None) for r in range(inst["n_real"])
         ]
-        assert_same_aggregates(result, per_real)
+        assert_same_aggregates(result, per_real, inst["windows"])
 
 
 class MaskPolicyAgent:
@@ -369,7 +402,7 @@ class TestIndexTablesAgainstMasks:
             MaskPolicyAgent(simulate.OraclePolicyAgent(space, policy)),
         ):
             rngs = [cr.realization_rng(inst["seed"], r) for r in range(inst["n_real"])]
-            with mock.patch.object(simulate, "CHUNK", inst["chunk"]):
+            with sizes_of(inst):
                 runs.append(
                     simulate.run_lockstep(
                         env, agent, inst["schedule"], horizon, rngs, windows=windows
@@ -386,6 +419,69 @@ def test_row_sum_is_numpy_row_order(n, seed):
     """The loop reference's ``row_sum`` adds a row's terms as numpy does."""
     row = np.random.default_rng(seed).normal(scale=100.0, size=(1, n))
     assert row_sum(row[0].tolist()) == row.sum(axis=-1)[0]
+
+
+@st.composite
+def walk_chains(draw):
+    """A chain for the walk: one to five states or 60 (s7's chains have 50
+    and 40); Dirichlet rows with some entries zeroed, or rows on a 1/4 grid,
+    whose zeros and cumulative values repeat across rows; and in some
+    chains rows scaled to sum to 1 - PROB_TOL / 2, where a uniform can lie
+    above a row's last cumulative value and the clamp fires."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        trans = rng.multinomial(4, np.ones(n) / n, size=n) / 4.0
+    else:
+        trans = rng.dirichlet(np.ones(n), size=n)
+        trans[rng.random((n, n)) < 0.3] = 0.0
+        trans[np.arange(n), rng.integers(0, n, size=n)] += 1e-3  # no row left empty
+        trans /= trans.sum(axis=1, keepdims=True)
+    trans[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] *= 1.0 - PROB_TOL / 2
+    profile = cr.PopularityProfile([1.0])
+    return cr.MarkovChain(states=(profile,) * n, transition=trans)
+
+
+class TestChainWalk:
+    """``chain_path`` over a ``walk_table`` against one ``next_states`` step
+    per slot, from the same uniforms."""
+
+    @SETTINGS
+    @given(chain=walk_chains(), seed=st.integers(0, 2**32 - 1), n_real=st.integers(1, 3))
+    def test_walk_is_step_chain(self, chain, seed, n_real):
+        """From a Generator's stream, the walk equals ``step_chain`` per slot."""
+        n = 50
+        rngs = [np.random.default_rng([seed, r]) for r in range(n_real)]
+        start = np.array([rng.integers(chain.n_states) for rng in rngs])
+        u = np.empty((n, n_real))
+        for r, rng in enumerate(rngs):
+            u[:, r] = rng.random(n)
+        table = simulate.walk_table(np.cumsum(chain.transition, axis=1))
+        path = simulate.chain_path(table, start, u)
+        for r in range(n_real):
+            rng = np.random.default_rng([seed, r])
+            state = int(rng.integers(chain.n_states))
+            np.testing.assert_array_equal(path[:, r], walk(chain, state, n, rng))
+
+    @SETTINGS
+    @given(chain=walk_chains(), picks=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=80))
+    def test_walk_on_breakpoints(self, chain, picks):
+        """Uniforms on a breakpoint, one float either side of it, 0 and the
+        largest float below 1, stepped as ``next_states`` steps them."""
+        cum = np.cumsum(chain.transition, axis=1)
+        values = np.unique(cum)
+        crafted = np.concatenate(
+            [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf), [0.0, 1.0]]
+        )
+        crafted = np.unique(np.clip(crafted, 0.0, np.nextafter(1.0, 0.0)))
+        picks = np.array(picks[: len(picks) // 2 * 2])
+        u = crafted[picks % crafted.size].reshape(-1, 2)  # two realizations
+        start = picks[:2] % chain.n_states
+        path = simulate.chain_path(simulate.walk_table(cum), start, u)
+        state = start
+        for j, row in enumerate(u):
+            state = next_states(cum[state], row)
+            np.testing.assert_array_equal(path[j], state)
 
 
 @st.composite

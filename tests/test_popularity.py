@@ -104,11 +104,14 @@ class TestProfileAndChainInvariants:
         names its key, from a string and from a file alike."""
         good = json.loads(small_net[0].to_json())
         path = tmp_path / "chain.json"
+        ragged = [[0.5, 0.5], [1.0]]
         for doc, message in (
             ({"states": good["states"]}, "missing key 'transition' in a MarkovChain document"),
             ({**good, "x": 1}, "unexpected key 'x' in a MarkovChain document"),
             ([good], "chain must be a MarkovChain document (a JSON object), got [{"),
             ({**good, "states": 5}, "states ndim must be >= 1, got 0"),
+            ({**good, "states": ragged}, "states rows must all have one length"),
+            ({**good, "transition": ragged}, "transition rows must all have one length"),
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 cr.MarkovChain.from_json(json.dumps(doc))
