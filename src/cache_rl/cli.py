@@ -90,12 +90,11 @@ def _cmd_presets(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = _resolve_scenario(args.scenario, args)
-    if not scenario.lambda_schedule.is_constant:
-        raise ValueError("the oracle supports constant cost weights only")
-    params = scenario.lambda_schedule.segments[0][1]
+    params = scenario.lambda_schedule.constant_params()
     policy_path, values_path, q_path = (f"{args.out}_{k}.csv" for k in ("policy", "values", "q"))
     _check_writable(policy_path, values_path, q_path)
     space = StateSpace(scenario.g_chain, scenario.l_chain, scenario.cache_size)
+    space.check_tables()  # the exported Q table, before the solve
     result = policy_iteration(space, scenario.gamma, params)
     export_policy_csv(space, result.policy, result.values, policy_path)
     write_table(values_path, ["state_index", "value"], enumerate(result.values.tolist()))

@@ -281,14 +281,12 @@ def run_scenario(
     if error_slots is not None and not track_error:
         raise ValueError("error_slots needs oracle_compare and a learning agent")
     needs_oracle = oracle_compare or scenario.learner == "oracle-policy"
+    params = scenario.lambda_schedule.constant_params() if needs_oracle else None
     oracle = None
     space = None
     if needs_oracle or scenario.learner == "exact":
         space = StateSpace(scenario.g_chain, scenario.l_chain, scenario.cache_size)
     if needs_oracle:
-        if not scenario.lambda_schedule.is_constant:
-            raise ValueError("oracle comparison requires a constant cost schedule")
-        params = scenario.lambda_schedule.segments[0][1]
         oracle = policy_iteration(space, scenario.gamma, params)
     agent = _build_agent(scenario, oracle, space)
 

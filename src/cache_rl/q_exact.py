@@ -63,6 +63,7 @@ class ExactQLearner:
     def __init__(self, space: StateSpace, config: QLearnerConfig):
         self.space = space
         self.config = config
+        space.check_tables(2)
         self.q = np.zeros((space.n_states, space.n_actions))
         self.visits = np.zeros((space.n_states, space.n_actions), dtype=np.int64)
 
@@ -107,10 +108,12 @@ class BatchExactAgent(LockstepLearner):
         self._visits: np.ndarray | None = None
 
     def begin(self, n_realizations: int) -> None:
+        visit_counts = isinstance(self.config.beta, VisitCountBeta)
+        self.space.check_tables(n_realizations * (1 + visit_counts))
         super().begin(n_realizations)
         shape = (n_realizations, self.space.n_states, self.space.n_actions)
         self.q = np.zeros(shape)
-        if isinstance(self.config.beta, VisitCountBeta):
+        if visit_counts:
             self._visits = np.zeros(shape, dtype=np.int64)
 
     def predraw(self, rngs, ts) -> None:

@@ -183,6 +183,12 @@ class PiecewiseCostSchedule:
     def is_constant(self) -> bool:
         return len(self.segments) == 1
 
+    def constant_params(self) -> CostParams:
+        """The weights of a constant schedule, the only kind the oracle solves."""
+        if not self.is_constant:
+            raise ValueError(f"the oracle needs constant cost weights, not {len(self.segments)} segments")
+        return self.segments[0][1]
+
     def params_at(self, slot: int) -> CostParams:
         slot = as_int(slot, "slot", 0)
         starts = np.array([s for s, _ in self.segments])

@@ -83,10 +83,10 @@ class TestActionSpace:
             cr.StateSpace(*cr.large_network_chains(), 10)
 
     def test_state_space_rejects_tables_beyond_physical_memory(self):
-        # |A| = C(30, 5) = 142 506 passes the action limit, but one (|S|, |A|)
-        # float64 table would take 8 * 4 * 142 506**2 B, about 605 GiB
+        # |A| = C(30, 5) = 142 506 passes the action limit, but the space's own
+        # (|A|, |A|) refresh table would take 8 * 142 506**2 B, about 151 GiB
         assert math.comb(30, 5) < MATERIALIZE_LIMIT
-        with pytest.raises(ValueError, match="570024-state Q table is too large to materialize"):
+        with pytest.raises(ValueError, match="142506-action refresh table is too large to materialize"):
             cr.StateSpace(*cr.small_network_chains(30), 5)
         assert cr.StateSpace(*cr.small_network_chains(20), 3).n_states == 4560
 

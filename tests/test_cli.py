@@ -123,6 +123,37 @@ def test_oracle_rejects_dynamic(capsys):
     assert "constant" in capsys.readouterr().err
 
 
+def test_constant_weights_one_message(tmp_path, capsys):
+    sc = cr.preset_scenario("dynamic", horizon=10, realizations=1)
+    with pytest.raises(ValueError) as raised:
+        cr.run_scenario(sc, oracle_compare=True)
+    assert str(raised.value) == "the oracle needs constant cost weights, not 2 segments"
+    assert main(["oracle", "--scenario", "dynamic", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def test_oracle_refuses_unexportable_q_before_solving(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("solved although the Q table cannot be exported")
+
+    # the 45 x 45 refresh table (16 200 B) fits, the 180 x 45 Q table (64 800 B) does not
+    monkeypatch.setattr(cr.mdp_oracle, "_PHYSICAL_MEMORY", 32_000)
+    monkeypatch.setattr(cli, "policy_iteration", computed)
+    assert main(["oracle", "--scenario", "s1", "--out", str(tmp_path / "o")]) == 2
+    assert "180-state Q table is too large to materialize" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_exact_tables_beyond_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # one 180 x 45 table fits in 100 000 B, the two of two realizations do not
+    monkeypatch.setattr(cr.mdp_oracle, "_PHYSICAL_MEMORY", 100_000)
+    out = tmp_path / "m.csv"
+    argv = ["run", "--scenario", "s1", "--horizon", "10", "--realizations", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "180-state Q table x 2 is too large to materialize" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["lambda_schedule"][0]["lambda2"] = float("nan")

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cache_rl as cr
-from cache_rl import simulate
+from cache_rl import mdp_oracle, simulate
 from oracles_util import (
     brute_force_optimal,
     dense_kernels,
@@ -467,6 +468,58 @@ class TestDenseReference:
         avg = cr.long_run_average_cost(space, res.policy, params)
         ref = dense_long_run_average_cost(space, res.policy, params)
         assert avg == pytest.approx(ref, rel=1e-12)
+
+
+class TestPostDecisionSolver:
+    """Policy iteration on W against the full-table functions it replaced."""
+
+    @pytest.mark.parametrize("name", ["s1", "s2"])
+    def test_policy_iteration_builds_no_full_table(self, name):
+        space = cr.StateSpace(*cr.small_network_chains(20), 3)
+        table_bytes = 8 * space.n_states * space.n_actions  # 39.7 MiB
+        tracemalloc.start()
+        try:
+            res = cr.policy_iteration(space, 0.8, cr.PRESET_PARAMS[name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
+        assert "q" not in vars(res)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(evaluation_cases())
+    def test_blockwise_paths_equal_full_tables(self, case):
+        space, params, policy, gamma = case
+        res = cr.policy_iteration(space, gamma, params)
+        assert res.q.tobytes() == cr.q_from_value(space, res.values, gamma, params).tobytes()
+        assert res.policy.tobytes() == cr.policy_improvement(space, res.q).tobytes()
+        v = cr.policy_evaluation(space, policy, gamma, params)
+        for q in (res.q, cr.q_from_value(space, v, gamma, params)):
+            target = cr.q_from_value(space, q.min(axis=1), gamma, params)
+            full = float(np.abs(q - target).max())
+            assert cr.bellman_optimality_residual(space, q, gamma, params) == full
+
+    def test_solves_where_q_does_not_fit(self, small_net, monkeypatch):
+        params = cr.PRESET_PARAMS["s1"]
+        expected = cr.policy_iteration(cr.StateSpace(*small_net, 2), 0.8, params)
+        # the 45 x 45 refresh table takes 16 200 B, one 180 x 45 table 64 800 B
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 32_000)
+        space = cr.StateSpace(*small_net, 2)
+        res = cr.policy_iteration(space, 0.8, params)
+        np.testing.assert_array_equal(res.policy, expected.policy)
+        np.testing.assert_array_equal(res.values, expected.values)
+        with pytest.raises(ValueError, match="180-state Q table is too large to materialize"):
+            res.q
+        with pytest.raises(ValueError, match="180-state Q table is too large to materialize"):
+            cr.q_from_value(space, res.values, 0.8, params)
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 16_000)
+        with pytest.raises(ValueError, match="45-action refresh table is too large to materialize"):
+            cr.StateSpace(*small_net, 2)
 
 
 @st.composite

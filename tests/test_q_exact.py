@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
+from cache_rl import mdp_oracle
 from cache_rl.caching_core import aggregate_cost
+from cache_rl.q_exact import BatchExactAgent
 from cache_rl.schedules import ExploreThenInverseDecay, VisitCountBeta
 from cache_rl.simulate import CHUNK, realization_rng
 from oracles_util import LoopExactLearner, loop_slot_cost
@@ -108,6 +110,32 @@ class TestRepeatVisitMean:
             seen.append(learner.td_update(s, a_idx, 0, cost, beta=1.0))
         expected = cr.expected_cost(state, act, g_chain, l_chain, params)
         assert abs(np.mean(seen) - expected) / expected < 0.02
+
+
+class TestTableMemoryCheck:
+    """The learners' (|S|, |A|) tables are checked against physical memory before allocation."""
+
+    # one 180 x 45 table takes 64 800 B, the 45 x 45 refresh table 16 200 B
+    MEMORY = 100_000
+
+    @pytest.mark.parametrize("beta, n_real", [(0.8, 2), (VisitCountBeta(), 1)])
+    def test_batch_agent_checks_before_allocating(self, small_space, monkeypatch, beta, n_real):
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", self.MEMORY)
+        agent = BatchExactAgent(small_space, cr.QLearnerConfig(beta=beta))
+        with pytest.raises(ValueError, match="180-state Q table x 2 is too large to materialize"):
+            agent.begin(n_real)
+        assert agent.q is None
+
+    def test_batch_agent_within_memory(self, small_space, monkeypatch):
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", self.MEMORY)
+        agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        agent.begin(1)
+        assert agent.q.shape == (1, 180, 45)
+
+    def test_scalar_learner_checks_its_two_tables(self, small_space, monkeypatch):
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", self.MEMORY)
+        with pytest.raises(ValueError, match="180-state Q table x 2 is too large to materialize"):
+            make_learner(small_space)
 
 
 class TestRunExact:
