@@ -48,8 +48,9 @@ def _resolve_scenario(spec: str, args) -> object:
 def _check_writable(*paths: str) -> None:
     """Raise before any work is done when an output file could not be created."""
     for path in paths:
-        if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK | os.X_OK):
-            raise OSError(f"cannot write {path}")
+        parent = os.path.dirname(path) or "."
+        if not path or os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path or repr(path)}")
 
 
 def _cmd_run(args) -> int:
@@ -69,7 +70,7 @@ def _cmd_presets(args) -> int:
     rows = list_presets()
     header = (
         f"{'name':<8}{'network':<8}{'F':>6}{'M':>4}{'lambda1':>9}{'lambda2':>9}"
-        f"{'lambda3':>9}{'learner':<17}{'horizon':>9}{'realiz.':>8}"
+        f"{'lambda3':>9}  {'learner':<15}{'horizon':>9}{'realiz.':>8}"
     )
     print(header)
     for row in rows:

@@ -310,9 +310,11 @@ def relative_q_error(q: np.ndarray, q_star: np.ndarray, star_norm=None) -> float
 
 
 def export_policy_csv(space: StateSpace, policy: np.ndarray, values: np.ndarray, path) -> None:
-    """Write per-state optimal actions and values (1-based file lists)."""
+    """Write per-state optimal actions and values (1-based file lists); bad shapes raise first."""
+    policy, values = space.check_policy(policy).tolist(), np.asarray(values)
+    if values.shape != (space.n_states,):
+        raise ValueError(f"values must have shape ({space.n_states},), got {values.shape}")
     labels = [files_label(files) for files in space.action_files.tolist()]
-    policy = space.check_policy(policy).tolist()
     write_table(
         path,
         ["state_index", "g_state", "l_state", "cached_files", "action_index", "action_files", "value"],
@@ -323,13 +325,14 @@ def export_policy_csv(space: StateSpace, policy: np.ndarray, values: np.ndarray,
             [labels[a] for a in space.state_actions.tolist()],
             policy,
             [labels[a] for a in policy],
-            np.asarray(values).tolist(),
+            values.tolist(),
         ),
     )
 
 
 def export_qtable_csv(space: StateSpace, q: np.ndarray, path) -> None:
-    """Write the full Q table as (state index, action index, value) rows."""
+    """Write the full Q table as (state, action, value) rows; a bad shape raises first."""
+    q = space.check_q_table(q)
     labels = [files_label(files) for files in space.action_files.tolist()]
     rows = (
         (s, a, labels[a], v) for s in range(space.n_states) for a, v in enumerate(q[s].tolist())

@@ -118,12 +118,13 @@ class BatchExactAgent(LockstepLearner):
 
     def predraw(self, rngs, ts) -> None:
         super().predraw(rngs, ts)
-        n_a = self.space.n_actions
-        self._explore_a = np.stack([rng.integers(0, n_a, size=ts.size) for rng in rngs])
+        self._explore_a = np.empty((ts.size, len(rngs)), dtype=np.int64)
+        for r, rng in enumerate(rngs):
+            self._explore_a[:, r] = rng.integers(0, self.space.n_actions, size=ts.size)
 
     def select(self, j, g, l_seen, a_prev):
         s_prev = self.space.state_indices(g, l_seen, a_prev)
-        a = np.where(self.explores(j), self._explore_a[:, j], greedy(self.q[self._r, s_prev]))
+        a = np.where(self.explores(j), self._explore_a[j], greedy(self.q[self._r, s_prev]))
         self._pending = (s_prev, a)
         return a
 

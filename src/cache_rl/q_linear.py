@@ -266,7 +266,7 @@ class BatchLinearAgent(LockstepLearner):
         explore = self.explores(j)
         with np.errstate(over="ignore", invalid="ignore"):
             psi_prev = self._scores(g, l_seen, mask_prev)
-            files = self._draws.files[:, j]
+            files = self._draws.files[j]
             if not explore.all():
                 files = np.where(explore[:, None], files, top_m(psi_prev, self.m))
             mask = files_mask(files, self.f)

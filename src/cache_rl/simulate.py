@@ -11,9 +11,10 @@ vectorized over realizations, with one independent Generator per
 realization. Randomness is pre-drawn in fixed-size chunks in a fixed order
 (chain draws, then request samples, then agent draws), so a realization
 re-run alone reproduces bit-identically the trace it had inside a batch.
-Each chunk's chain paths are walked up front through a table built once
-per run, and the per-slot metrics are reduced once per block of slots (see
-:func:`run_lockstep`).
+Every per-chunk array is slot-major, (n, R, ...), so slot j of the chunk
+reads row j, and each realization fills its own column. Chain paths are
+walked up front through a table built once per run, and the per-slot
+metrics are reduced once per block of slots (see :func:`run_lockstep`).
 
 Two revelation modes are supported. In "state" mode the true local chain
 state is revealed each slot. In "empirical" mode the agent instead sees a
@@ -172,13 +173,14 @@ def run_lockstep(
     ``agent.begin``: a bad schedule raises ``TypeError``, and any other bad
     option ``ValueError``.
 
-    Hot path: both chains' states for a chunk come from :func:`chain_path`
-    as (n, R) slot-major paths, so slot j reads row j. Each slot stores its
-    (R,) cost and hit fraction as one row of a (``DRAW_ROWS``, R) buffer;
-    a full block (or the last slot) gets its per-slot means as row sums, bit
-    for bit each row's own ``.mean()``, and its window sums row by row in
-    slot order. The cost of an agent with ``space`` is read from its tables
-    by flat index.
+    Hot path: every per-chunk array is slot-major, (n, R, ...), so slot j
+    reads row j: the chains' paths from :func:`chain_path`, the agents' draws
+    and the empirical request fractions, one float64 (n, R, F) buffer that
+    each realization's counts are divided into. Each slot stores its (R,) cost
+    and hit fraction as one row of a (``DRAW_ROWS``, R) buffer; a full block
+    (or the last slot) gets its per-slot means as row sums, bit for bit each
+    row's own ``.mean()``, and its window sums row by row in slot order. The
+    cost of an agent with ``space`` is read from its tables by flat index.
     """
     cost_schedule = as_cost_schedule(cost_schedule)
     horizon = as_int(horizon, "horizon", 1)
@@ -275,11 +277,11 @@ def run_lockstep(
             u[:, r] = rng.random(n)
         l_path = chain_path(walk_l, l, u)
         del u
-        counts = None
-        if empirical:
-            counts = np.stack(
-                [rngs[r].multinomial(n_req, l_profiles[l_path[:, r]]) for r in range(n_real)]
-            )
+        freq = None
+        if empirical:  # each realization's counts, as fractions of the slot's requests
+            freq = np.empty((n, n_real, f))
+            for r, rng in enumerate(rngs):
+                np.divide(rng.multinomial(n_req, l_profiles[l_path[:, r]]), n_req, out=freq[:, r])
         agent.predraw(rngs, ts)
         if trace is not None:
             trace.g_states[c0 : c0 + n] = g_path[:, 0]
@@ -287,8 +289,7 @@ def run_lockstep(
         for j in range(n):
             t = c0 + j
             choice = agent.select(j, g, l_seen, prev)
-            g_next = g_path[j]
-            l_next = l_path[j]
+            g_next, l_next = g_path[j], l_path[j]
             l_next_seen = l_next
             if space is None:  # (R, F) masks: each term is a masked sum
                 mask = choice
@@ -299,9 +300,8 @@ def run_lockstep(
                 uncached_g = 1.0 - hit_g.take(g_next * n_a + choice)
                 refresh = space.refresh_counts.take(prev * n_a + choice)
             if empirical:
-                freq = counts[:, j, :] / n_req
-                cached_l = cached_mass(mask, freq)
-                l_next_seen = nearest_states(freq, l_profiles)
+                cached_l = cached_mass(mask, freq[j])
+                l_next_seen = nearest_states(freq[j], l_profiles)
             elif mask is None:
                 cached_l = hit_l.take(l_next * n_a + choice)
             else:
@@ -323,11 +323,8 @@ def run_lockstep(
                 trace.epsilons[t] = agent.trace_epsilon(j)
                 trace.betas[t] = agent.trace_beta(j)
 
-            g = g_next
-            l = l_next
-            l_seen = l_next_seen
-            prev = choice
-        del g_path, l_path, counts
+            g, l, l_seen, prev = g_next, l_next, l_next_seen, choice
+        del g_path, l_path, freq
 
     lengths = np.array([b - a for a, b in windows])
     win_cost /= lengths
@@ -371,9 +368,8 @@ def walk_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def chain_path(walk: tuple, start: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(n, R) chain states stepped from the (R,) ``start`` by the (n, R) uniforms ``u``.
 
-    The path is slot-major, so each slot reads one contiguous row. One
-    ``searchsorted`` places every uniform among the walk's bounds; each slot
-    is then one flat ``take`` from the table of :func:`walk_table`.
+    One ``searchsorted`` places every uniform among the walk's bounds; each
+    slot is then one flat ``take`` from the table of :func:`walk_table`.
     """
     bounds, table = walk
     path = np.searchsorted(bounds, u, side="right")
@@ -414,11 +410,13 @@ class LockstepLearner:
 
     def predraw(self, rngs, ts) -> None:
         self._eps = self.config.epsilon.epsilon_array(ts + 1)
-        self._u = np.stack([rng.random(ts.size) for rng in rngs])
+        self._u = np.empty((ts.size, len(rngs)))
+        for r, rng in enumerate(rngs):
+            self._u[:, r] = rng.random(ts.size)
 
     def explores(self, j) -> np.ndarray:
         """Per realization, whether slot ``j`` of the chunk explores."""
-        return self._u[:, j] < self._eps[j]
+        return self._u[j] < self._eps[j]
 
     def set_error_reference(self, qstar: np.ndarray, space) -> None:
         """Reference Q table over ``space``, a state space of this learner's network:
@@ -461,18 +459,15 @@ class UniformActionDraws:
     def __init__(self, f: int, m: int):
         self.f = as_int(f, "catalog size", 1)
         self.m = as_int(m, "cache capacity", 1, self.f + 1)
-        self.files: np.ndarray | None = None  # (R, n, M), unordered within a row
+        self.files: np.ndarray | None = None  # (n, R, M), unordered within a row
 
     def draw(self, rngs, n: int) -> None:
-        self.files = np.empty((len(rngs), n, self.m), dtype=np.intp)
+        self.files = np.empty((n, len(rngs), self.m), dtype=np.intp)
         for r, rng in enumerate(rngs):
             # row blocks keep the (rows, F) temporaries small; the stream is unchanged
             for lo in range(0, n, DRAW_ROWS):
                 u = rng.random((min(DRAW_ROWS, n - lo), self.f))
-                self.files[r, lo : lo + DRAW_ROWS] = uniform_subsets(u, self.m)
-
-    def mask_at(self, j: int) -> np.ndarray:
-        return files_mask(self.files[:, j], self.f)
+                self.files[lo : lo + DRAW_ROWS, r] = uniform_subsets(u, self.m)
 
 
 class RandomBaselineAgent:
@@ -490,7 +485,7 @@ class RandomBaselineAgent:
         self._draws.draw(rngs, ts.size)
 
     def select(self, j, g, l_seen, mask_prev):
-        return self._draws.mask_at(j)
+        return files_mask(self._draws.files[j], self.f)
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
         pass

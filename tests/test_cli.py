@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,26 @@ def test_presets_lists_all(capsys):
     out = capsys.readouterr().out
     for name in list(cr.PRESET_PARAMS) + ["dynamic", "small network", "large network"]:
         assert name in out
+    # each label lines up with its column: name, network and learner are
+    # left-aligned, the others right-aligned; the lambdas are checked on
+    # constant-weight rows, the other cells on every row
+    header, *lines = out.splitlines()
+    labels = list(re.finditer(r"\S+", header))
+    assert [m.group() for m in labels] == [
+        "name", "network", "F", "M", "lambda1", "lambda2", "lambda3", "learner", "horizon", "realiz."
+    ]
+    rows = lines[: lines.index("")]
+    assert len(rows) == len(cr.PRESET_PARAMS) + 1
+    for row in rows:
+        cells = list(re.finditer(r"\S+", row))
+        pairs = list(zip(labels, cells))
+        if "two-interval" in row:
+            pairs = pairs[:4] + list(zip(labels[-3:], cells[-3:]))
+        for label, cell in pairs:
+            if label.group() in ("name", "network", "learner"):
+                assert cell.start() == label.start(), (label.group(), row)
+            else:
+                assert cell.end() == label.end(), (label.group(), row)
 
 
 def test_run_preset_writes_metrics(tmp_path, capsys):
@@ -317,3 +338,5 @@ def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch):
     assert f"cannot write {missing / 'o'}_policy.csv" in capsys.readouterr().err
     assert main(["run", "--scenario", "s1", "--out", str(tmp_path)]) == 2
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
+    assert main(["run", "--scenario", "s1", "--out", ""]) == 2
+    assert "cannot write ''" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -572,7 +573,7 @@ class TestMetricsHelpers:
         draws = cr.simulate.UniformActionDraws(4, 2)
         n = 1_000_000
         draws.draw([np.random.default_rng(2)], n)
-        files = np.sort(draws.files[0], axis=1)
+        files = np.sort(draws.files[:, 0], axis=1)
         counts = np.bincount(files[:, 0] * 4 + files[:, 1], minlength=16)
         # the six pairs (a, b) with a < b hold every draw, each about 1/6 of them
         pairs = counts[[1, 2, 3, 6, 7, 11]]
@@ -595,6 +596,27 @@ class TestMetricsHelpers:
         monkeypatch.setattr(cr.ActionSpace, "mask_matrix", boom)
         idx = cr.random_baseline_action(space, np.random.default_rng(3))
         assert 0 <= idx < space.size
+
+
+class TestEngineMemory:
+    def test_empirical_requests_are_one_fractions_buffer(self, small_net):
+        """A 1000-slot chunk of empirical requests at R = 200 and F = 10 is one
+        float64 (n, R, F) buffer of request fractions, 15.3 MiB. The rest of the
+        chunk (chain uniforms and paths, the random agent's file draws) adds
+        about 7 MiB. Any second table of the chunk's requests, such as integer
+        counts or a stacked copy, adds another 15.3 MiB, so the peak stays
+        below two buffers only if none is built."""
+        env = cr.simulate.PopularityEnv(*small_net, request_mode="empirical")
+        agent = cr.simulate.RandomBaselineAgent(10, 2)
+        rngs = [realization_rng(11, r) for r in range(200)]
+        fractions = 8 * 1000 * 200 * 10
+        tracemalloc.start()
+        try:
+            cr.simulate.run_lockstep(env, agent, cr.CostParams(10, 600, 1000), 1000, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fractions < peak < 2 * fractions
 
 
 class TestExportMetrics:

@@ -316,6 +316,17 @@ class TestAverageCostAndExport:
         first = policy_lines[1].split(",")
         assert first[3] == "1;2"
 
+    def test_csv_exports_check_shapes_before_writing(self, small_space, tmp_path):
+        res = cr.policy_iteration(small_space, 0.8, cr.CostParams(10, 600, 1000))
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="Q table must be 180x45"):
+            cr.export_qtable_csv(small_space, res.q[:, :40], path)
+        with pytest.raises(ValueError, match=r"values must have shape \(180,\), got \(5,\)"):
+            cr.export_policy_csv(small_space, res.policy, res.values[:5], path)
+        with pytest.raises(ValueError, match="one valid action per state"):
+            cr.export_policy_csv(small_space, res.policy[:5], res.values, path)
+        assert not path.exists()
+
 
 class TestEpsilonSoftAverageCost:
     def test_matches_epsilon_greedy_rollout(self):
