@@ -92,6 +92,8 @@ def _cmd_presets(args) -> int:
 def _cmd_oracle(args) -> int:
     scenario = _resolve_scenario(args.scenario, args)
     params = scenario.lambda_schedule.constant_params()
+    if not os.path.basename(args.out):  # the files would be named _policy.csv and so on
+        raise ValueError(f"--out must end in a file name prefix, got {args.out!r}")
     policy_path, values_path, q_path = (f"{args.out}_{k}.csv" for k in ("policy", "values", "q"))
     _check_writable(policy_path, values_path, q_path)
     space = StateSpace(scenario.g_chain, scenario.l_chain, scenario.cache_size)

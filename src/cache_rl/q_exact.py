@@ -5,9 +5,12 @@ epsilon-greedily, and after each slot moves the visited entry toward
 ``cost + gamma * min_a Q(s', a)`` with step size beta. It never sees the
 chain transition probabilities; only realized costs drive the updates.
 
-The lockstep agent applies ``greedy`` and ``tabular_step`` to (R, S, A)
-tables; ``ExactQLearner.epsilon_greedy_action`` and ``td_update`` wrap
-them for one (S, A) table.
+``greedy`` and ``tabular_step`` are the one kernel. ``tabular_step`` works
+on a 2-D (rows, A) table by flat index: ``ExactQLearner`` passes its (S, A)
+table, and the lockstep agent a (R*S, A) view of its (R, S, A) tables, whose
+row r*S + s is state s of realization r. With a Q* reference the lockstep
+agent keeps each realization's squared error to Q* as a running sum, updated
+from the entry that each step changes, so its error snapshots read no table.
 """
 
 from __future__ import annotations
@@ -46,15 +49,26 @@ def greedy(q_rows):
 
 
 def tabular_step(q, visits, at, at_next, cost, gamma, beta):
-    """Move q[at] toward cost + gamma * min q[at_next] in place; returns the step size,
-    ``beta`` or, for a VisitCountBeta, 1 / (1 + visits[at]). ``visits`` may be None."""
-    q_min_next = q[at_next].min(axis=-1)
+    """Move entry ``at`` of ``q`` toward cost + gamma * min q[at_next], in place.
+
+    ``q`` is a C-contiguous 2-D (rows, A) table, ``at`` a flat index into it
+    (row * A + action) and ``at_next`` a row index: ints for one entry, (R,)
+    arrays for one entry per realization. ``visits``, shaped like ``q``, counts
+    the updates and may be None. Returns (beta, old, new): the step size,
+    ``beta`` or, for a VisitCountBeta, 1 / (1 + visits at ``at``), and the
+    entry before and after the step.
+    """
+    entries = q.reshape(-1, copy=False)
+    # the row min read at the row's argmin: the same number, NaN included
+    q_min_next = entries[at_next * q.shape[1] + greedy(q.take(at_next, axis=0))]
     if isinstance(beta, VisitCountBeta):
-        beta = 1.0 / (1.0 + visits[at])
+        beta = 1.0 / (1.0 + visits.reshape(-1, copy=False)[at])
     if visits is not None:
-        visits[at] += 1
-    q[at] = (1.0 - beta) * q[at] + beta * (cost + gamma * q_min_next)
-    return beta
+        visits.reshape(-1, copy=False)[at] += 1
+    old = entries[at]
+    new = (1.0 - beta) * old + beta * (cost + gamma * q_min_next)
+    entries[at] = new
+    return beta, old, new
 
 
 class ExactQLearner:
@@ -93,12 +107,17 @@ class ExactQLearner:
         if not np.isfinite(cost):
             raise ValueError("cost must be finite")
         beta = validate_beta(self.config.beta if beta is None else beta)
-        tabular_step(self.q, self.visits, (s_prev, a), s_next, cost, self.config.gamma, beta)
-        return float(self.q[s_prev, a])
+        at = s_prev * self.space.n_actions + a
+        return float(tabular_step(self.q, self.visits, at, s_next, cost, self.config.gamma, beta)[2])
 
 
 class BatchExactAgent(LockstepLearner):
-    """Lockstep tabular learner driven by the simulation engine."""
+    """Lockstep tabular learner driven by the simulation engine.
+
+    ``select`` reuses the state index that the previous ``learn`` computed,
+    as the engine passes it the state that ``learn`` saw. The running error
+    sums hold while the tables ``q`` change only through ``learn``.
+    """
 
     def __init__(self, space: StateSpace, config: QLearnerConfig):
         super().__init__(space.cache_size, config)
@@ -111,10 +130,25 @@ class BatchExactAgent(LockstepLearner):
         visit_counts = isinstance(self.config.beta, VisitCountBeta)
         self.space.check_tables(n_realizations * (1 + visit_counts))
         super().begin(n_realizations)
-        shape = (n_realizations, self.space.n_states, self.space.n_actions)
-        self.q = np.zeros(shape)
+        n_s, n_a = self.space.n_states, self.space.n_actions
+        self.q = np.zeros((n_realizations, n_s, n_a))
+        self._table = self.q.reshape(n_realizations * n_s, n_a)
         if visit_counts:
-            self._visits = np.zeros(shape, dtype=np.int64)
+            self._visits = np.zeros(self._table.shape, dtype=np.int64)
+        self._row0 = self._r * n_s  # realization r's first row
+        self._at0 = self._row0 * n_a  # and its first entry
+        self._next_rows = None  # each realization's row of the state the last learn saw
+        self._err_sq = None
+        if self._err_ref is not None:  # at Q = 0 each sum is the dot whose root is ||Q*||
+            self._ref = self._err_ref[0].ravel()  # Q*[s, a] at s * A + a
+            self._err_sq = np.full(n_realizations, self._ref.dot(self._ref))
+
+    def set_error_reference(self, qstar: np.ndarray, space) -> None:
+        super().set_error_reference(qstar, space)
+        if self.q is not None:  # after begin: the sums restart from the tables, once
+            self._ref = self._err_ref[0].ravel()
+            diffs = (q_r.ravel() - self._ref for q_r in self.q)
+            self._err_sq = np.array([d.dot(d) for d in diffs])
 
     def predraw(self, rngs, ts) -> None:
         super().predraw(rngs, ts)
@@ -123,17 +157,27 @@ class BatchExactAgent(LockstepLearner):
             self._explore_a[:, r] = rng.integers(0, self.space.n_actions, size=ts.size)
 
     def select(self, j, g, l_seen, a_prev):
-        s_prev = self.space.state_indices(g, l_seen, a_prev)
-        a = np.where(self.explores(j), self._explore_a[j], greedy(self.q[self._r, s_prev]))
-        self._pending = (s_prev, a)
+        rows = self._next_rows
+        if rows is None:
+            rows = self._row0 + self.space.state_indices(g, l_seen, a_prev)
+        a = np.where(self.explores(j), self._explore_a[j], greedy(self._table.take(rows, axis=0)))
+        self._pending = (a, rows * self.space.n_actions + a)
         return a
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
-        s_prev, a = self._pending
-        s_next = self.space.state_indices(g_next, l_next_seen, a)
-        at, at_next = (self._r, s_prev, a), (self._r, s_next)
+        a, at = self._pending
+        self._next_rows = self._row0 + self.space.state_indices(g_next, l_next_seen, a)
         gamma, beta = self.config.gamma, self.config.beta
-        self._beta = tabular_step(self.q, self._visits, at, at_next, cost, gamma, beta)
+        step = tabular_step(self._table, self._visits, at, self._next_rows, cost, gamma, beta)
+        self._beta, old, new = step
+        if self._err_sq is not None:
+            ref = self._ref[at - self._at0]
+            self._err_sq += (new - ref) ** 2 - (old - ref) ** 2
+
+    def normalized_error(self) -> np.ndarray:
+        """Per realization, ||Q - Q*||_F / ||Q*||_F from the running sums."""
+        norm = self.error_reference()[1]
+        return np.sqrt(np.maximum(self._err_sq, 0.0)) / norm
 
     def q_table(self, r, space: StateSpace) -> np.ndarray:
         """Realization r's table; ``space`` is the space the agent learns on."""

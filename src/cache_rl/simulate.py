@@ -398,7 +398,9 @@ class LockstepLearner:
     epsilon-greedy coins (drawn before a subclass's own draws), the Q-error
     reference and the epsilon trace. A subclass sets ``f``, ``n_g`` and ``n_l``
     and adds ``select``, ``learn``, ``trace_beta`` and ``q_table(r, space)``,
-    realization r's Q over ``space``."""
+    realization r's Q over ``space``. ``normalized_error`` materializes each
+    ``q_table``; it serves the linear agent only, since the tabular agent
+    keeps a running error sum instead."""
 
     def __init__(self, m: int, config):
         self.m = m
@@ -421,13 +423,18 @@ class LockstepLearner:
     def set_error_reference(self, qstar: np.ndarray, space) -> None:
         """Reference Q table over ``space``, a state space of this learner's network:
         the space's chain, catalog and cache sizes must be the learner's ``n_g``,
-        ``n_l``, ``f`` and ``m``, and ``qstar`` an (|S|, |A|) table over it."""
+        ``n_l``, ``f`` and ``m``, and ``qstar`` an (|S|, |A|) table over it whose
+        norm is finite and nonzero."""
         sizes = {"n_g": space.n_g, "n_l": space.n_l, "f": space.catalog_size, "m": space.cache_size}
         for attr, size in sizes.items():
             own = getattr(self, attr)
             as_int(size, f"{type(self).__name__} reference space {attr}", own, own + 1)
         qstar = space.check_q_table(qstar)
-        self._err_ref = (qstar, float(np.linalg.norm(qstar)), space)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = float(np.linalg.norm(qstar))
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"Q* reference must have a finite nonzero norm, got {norm}")
+        self._err_ref = (qstar, norm, space)
 
     def error_reference(self) -> tuple:
         """(Q*, ||Q*||_F, space) as set; raises ValueError when there is none."""

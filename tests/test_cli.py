@@ -340,3 +340,8 @@ def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch):
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
     assert main(["run", "--scenario", "s1", "--out", ""]) == 2
     assert "cannot write ''" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    for prefix in ("", "sub/"):
+        assert main(["oracle", "--scenario", "s1", "--out", prefix]) == 2
+        assert f"--out must end in a file name prefix, got {prefix!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -448,6 +448,29 @@ class TestAgentContract:
         with pytest.raises(ValueError, match=message):
             agent.set_error_reference(qstar, space)
 
+    @pytest.mark.parametrize("kind", ["exact", "linear"])
+    @pytest.mark.parametrize(
+        "entry, norm", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (1e200, "inf"), (0.0, "0.0")]
+    )
+    def test_bad_reference_rejected_when_set(self, small_space, kind, entry, norm):
+        """A non-finite, overflowing or all-zero Q* raises at set time, so no
+        run starts (the parent gave NaN errors, or raised at the first snapshot)."""
+        if kind == "exact":
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        else:
+            agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        begun = []
+        agent.begin = begun.append
+        qstar = np.zeros((180, 45)) if entry == 0.0 else np.ones((180, 45))
+        qstar[3, 4] = entry
+        message = f"^Q\\* reference must have a finite nonzero norm, got {norm}$"
+        with pytest.raises(ValueError, match=message):
+            agent.set_error_reference(qstar, small_space)
+            self.run(agent, error_slots=[2])
+        assert begun == []
+        with pytest.raises(ValueError, match="call set_error_reference"):
+            agent.error_reference()
+
     def test_linear_q_of_another_network_rejected(self, small_space):
         """Parameters of a 1x4 network measured on the 2x2 space."""
         params = LinearParams.zeros(1, 4, 10)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cache_rl as cr
 from cache_rl import mdp_oracle
 from cache_rl.caching_core import aggregate_cost
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.schedules import ExploreThenInverseDecay, VisitCountBeta
-from cache_rl.simulate import CHUNK, realization_rng
+from cache_rl.simulate import CHUNK, LockstepLearner, realization_rng
 from oracles_util import LoopExactLearner, loop_slot_cost
 
 
@@ -278,3 +282,103 @@ class TestConvergence:
         ) / optimal.values
         assert agree >= 0.55
         assert float((weights * rel_subopt).sum()) <= 0.06
+
+
+class RecordingExactAgent(BatchExactAgent):
+    """Records, at each snapshot, the running error and the materialized one
+    of the same tables; after slot ``switch`` it takes ``later`` as its Q*."""
+
+    def __init__(self, space, config, switch=None, later=None):
+        super().__init__(space, config)
+        self.switch, self.later = switch, later
+        self.slot, self.snapshots = 0, []
+
+    def learn(self, j, *outcome):
+        super().learn(j, *outcome)
+        if self.slot == self.switch:
+            self.set_error_reference(self.later, self.space)
+        self.slot += 1
+
+    def normalized_error(self):
+        running = super().normalized_error()
+        self.snapshots.append((running, LockstepLearner.normalized_error(self)))
+        return running
+
+
+@st.composite
+def error_runs(draw):
+    """A random small network and learner, its oracle Q* and a perturbed Q*
+    to set mid-run, with R = 1..5 and random error slots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = draw(st.integers(2, 5))  # with M < F some file is always missed: Q* > 0
+    chains = []
+    for _ in range(2):
+        n = draw(st.integers(1, 3))
+        probs = rng.dirichlet(np.ones(f), size=n)
+        trans = rng.dirichlet(np.ones(n), size=n)
+        states = tuple(cr.PopularityProfile(p) for p in probs)
+        chains.append(cr.MarkovChain(states=states, transition=trans))
+    space = cr.StateSpace(*chains, draw(st.integers(1, f - 1)))
+    horizon = draw(st.integers(1, 300))
+    params = cr.CostParams(*(draw(st.integers(1, 1000)) for _ in range(3)))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.8]))
+    qstar = cr.policy_iteration(space, gamma, params).q
+    return dict(
+        space=space,
+        env=cr.PopularityEnv(*chains),
+        params=params,
+        horizon=horizon,
+        n_real=draw(st.integers(1, 5)),
+        error_slots=draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=8)),
+        switch=draw(st.none() | st.integers(0, horizon - 1)),
+        qstars=[qstar, qstar * rng.uniform(0.5, 1.5, qstar.shape)],
+        config=cr.QLearnerConfig(
+            beta=VisitCountBeta() if draw(st.booleans()) else 0.8,
+            epsilon=draw(st.floats(0.0, 1.0)),
+            gamma=gamma,
+        ),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRunningError:
+    """The tabular agent's running sum((Q - Q*)**2) against the materialized error."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(run=error_runs())
+    def test_matches_materialized_error(self, run):
+        """At every snapshot, for a reference set before the run and for one
+        set after ``begin``; the drift lies on the sum, relative to ||Q*||^2."""
+        first, later = run["qstars"]
+        agent = RecordingExactAgent(run["space"], run["config"], run["switch"], later)
+        agent.set_error_reference(first, run["space"])
+        rngs = [realization_rng(run["seed"], r) for r in range(run["n_real"])]
+        cr.simulate.run_lockstep(
+            run["env"], agent, run["params"], run["horizon"], rngs, error_slots=run["error_slots"]
+        )
+        assert len(agent.snapshots) == len(set(run["error_slots"]))
+        for running, exact in agent.snapshots:
+            assert np.abs(running**2 - exact**2).max() <= 1e-12
+
+    def test_error_at_zero_tables_is_exactly_one(self, small_space):
+        agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        agent.set_error_reference(np.arange(180 * 45.0).reshape(180, 45) / 7.0, small_space)
+        agent.begin(3)
+        assert agent.normalized_error().tolist() == [1.0, 1.0, 1.0]
+
+    def test_snapshot_reads_no_table(self, small_space):
+        """At R = 200 a snapshot allocates a few (R,) vectors, no (|S|, |A|) table (64.8 KiB)."""
+        agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        oracle = cr.policy_iteration(small_space, 0.8, cr.CostParams(10, 600, 1000))
+        agent.set_error_reference(oracle.q, small_space)
+        agent.begin(200)
+        agent.normalized_error()  # warm-up
+        tracemalloc.start()
+        try:
+            errors = agent.normalized_error()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert errors.shape == (200,)
+        assert peak < 16 * 1024
