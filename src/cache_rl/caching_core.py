@@ -73,7 +73,7 @@ class CacheAction:
     catalog_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "catalog_size", as_int(self.catalog_size, "catalog_size"))
+        object.__setattr__(self, "catalog_size", as_int(self.catalog_size, "catalog_size", 1))
         files = tuple(sorted(as_int(x, "file index", 1, self.catalog_size + 1) for x in self.files))
         as_int(len(files), "cached file count", 1)
         if len(set(files)) != len(files):
@@ -111,7 +111,7 @@ class ActionSpace:
     """
 
     def __init__(self, f: int, m: int):
-        self.f = as_int(f, "catalog size")
+        self.f = as_int(f, "catalog size", 1)
         self.m = as_int(m, "cache capacity", 1, self.f + 1)
         # Unbounded Python int; use this instead of len() when C(F, M)
         # exceeds the machine index range.
@@ -180,10 +180,7 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = as_number(getattr(self, f.name), f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and >= 0")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, as_number(getattr(self, f.name), f.name, "[0, inf)"))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -220,6 +217,7 @@ def refresh_cost(a_new: CacheAction, a_prev: CacheAction, lambda1: float) -> flo
     """lambda1 times the number of files in ``a_new`` not already cached."""
     f = a_prev.catalog_size
     as_int(a_new.catalog_size, "new action catalog size", f, f + 1)
+    lambda1 = as_number(lambda1, "lambda1", "[0, inf)")
     return float(lambda1 * fetched_count(a_new.as_mask(), a_prev.as_mask(), a_new.cache_size))
 
 
@@ -227,6 +225,7 @@ def mismatch_cost(action: CacheAction, profile: PopularityProfile, lam: float) -
     """``lam`` times the popularity mass of the files left uncached."""
     f = profile.catalog_size
     as_int(action.catalog_size, "action catalog size", f, f + 1)
+    lam = as_number(lam, "lam", "[0, inf)")
     return float(lam * (1.0 - cached_mass(action.as_mask(), profile.probs)))
 
 
@@ -255,6 +254,8 @@ def expected_cost(
     """Mean slot cost: the realized cost's terms fed the one-step-ahead mean profiles."""
     g = as_int(prev.g, "g", 0, g_chain.n_states)
     l = as_int(prev.l, "l", 0, l_chain.n_states)
+    for f in (g_chain.catalog_size, l_chain.catalog_size):
+        as_int(action.catalog_size, "action catalog size", f, f + 1)
     exp_g = g_chain.transition[g] @ g_chain.profile_matrix()
     exp_l = l_chain.transition[l] @ l_chain.profile_matrix()
     mask = action.as_mask()

@@ -20,10 +20,14 @@ its array form :func:`as_ints`, the only definition of an integer (whole and
 finite; a bool, a string or a fraction fails) and the only integer range
 check (``as_int(value, name, lo, hi)`` keeps values in ``[lo, hi)``, a bound
 left as None is open; an equality is the one-value range ``[n, n + 1)``),
-:func:`as_number` (a real number, not a bool), :func:`as_discount` (gamma in
-[0, 1)), :func:`as_probabilities` (finite, non-negative rows summing to 1
-within ``PROB_TOL``) and :func:`fields_from_json`, every JSON decoder's rule
-(an object holding only the keys its decoder reads, and each it requires).
+:func:`as_number`, the only definition of a real number (a bool or a string
+fails) and the only real range check (``as_number(value, name, interval)``
+keeps values in an interval written as the message prints it, such as
+``"(0, 1]"`` or ``"[0, inf)"``; NaN lies in none, and with no interval every
+real passes), :func:`as_discount` (gamma in [0, 1)), :func:`as_probabilities`
+(finite, non-negative rows summing to 1 within ``PROB_TOL``) and
+:func:`fields_from_json`, every JSON decoder's rule (an object holding only
+the keys its decoder reads, and each it requires).
 """
 
 from __future__ import annotations
@@ -70,21 +74,27 @@ def as_ints(values, name: str, lo: int | None = None, hi: int | None = None) -> 
     return values
 
 
-def as_number(value, name: str) -> float:
-    """``value`` as a float; a bool or a non-number raises ``ValueError``."""
+def as_number(value, name: str, interval: str | None = None) -> float:
+    """``value`` as a float in ``interval``, written as the message prints it:
+    ``"[0, 1)"``, ``"(0, inf)"``. A bool, a non-number, or a value outside the
+    interval (NaN is in none) raises ``ValueError``; with no interval any real passes."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must not be a boolean, got {value!r}")
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if interval is not None:
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        above = value > lo or (interval[0] == "[" and value == lo)
+        below = value < hi or (interval[-1] == "]" and value == hi)
+        if not (above and below):
+            raise ValueError(f"{name} must lie in {interval}, got {value}")
+    return value
 
 
 def as_discount(value) -> float:
     """``value`` as a discount factor gamma, a number in [0, 1)."""
-    gamma = as_number(value, "gamma")
-    if not 0.0 <= gamma < 1.0:  # NaN fails too
-        raise ValueError("gamma must lie in [0, 1)")
-    return gamma
+    return as_number(value, "gamma", "[0, 1)")
 
 
 def as_probabilities(values, name: str) -> np.ndarray:
@@ -244,9 +254,7 @@ def zipf_profile(f: int, eta: float, ordering=None) -> PopularityProfile:
     mass uniformly; larger eta concentrates it on the top-ranked files.
     """
     f = as_int(f, "catalog size", 1)
-    eta = as_number(eta, "zipf exponent")
-    if not eta >= 0:  # NaN fails too
-        raise ValueError("zipf exponent must be >= 0")
+    eta = as_number(eta, "zipf exponent", "[0, inf)")
     ids = np.arange(1, f + 1)
     ordering = ids if ordering is None else as_ints(ordering, "ordering")
     if not np.array_equal(np.sort(ordering), ids):
@@ -288,8 +296,10 @@ def estimate_empirical(batch: RequestBatch) -> PopularityProfile:
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total-variation distance between two mass vectors."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+    """Total-variation distance between two mass vectors over one catalog."""
+    p, q = np.asarray(p), np.asarray(q)
+    as_int(q.size, "q catalog size", p.size, p.size + 1)
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def nearest_states(profiles: np.ndarray, state_profiles: np.ndarray) -> np.ndarray:

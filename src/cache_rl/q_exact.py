@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp_oracle import StateSpace
-from .popularity import as_discount, as_int
+from .popularity import as_discount, as_int, as_number
 from .schedules import (
     EpsilonSchedule,
     PiecewiseCostSchedule,
@@ -84,6 +84,7 @@ class ExactQLearner:
     def epsilon_greedy_action(self, s: int, epsilon: float, rng: np.random.Generator) -> int:
         """Greedy action w.p. 1-epsilon (ties to lowest index), else uniform."""
         s = as_int(s, "state index", 0, self.space.n_states)
+        epsilon = as_number(epsilon, "epsilon", "[0, 1]")
         if rng.random() < epsilon:
             return int(rng.integers(self.space.n_actions))
         return int(greedy(self.q[s]))
@@ -104,8 +105,7 @@ class ExactQLearner:
         s_prev = as_int(s_prev, "state index", 0, self.space.n_states)
         a = as_int(a, "action index", 0, self.space.n_actions)
         s_next = as_int(s_next, "next state index", 0, self.space.n_states)
-        if not np.isfinite(cost):
-            raise ValueError("cost must be finite")
+        cost = as_number(cost, "cost", "(-inf, inf)")
         beta = validate_beta(self.config.beta if beta is None else beta)
         at = s_prev * self.space.n_actions + a
         return float(tabular_step(self.q, self.visits, at, s_next, cost, self.config.gamma, beta)[2])
@@ -178,10 +178,6 @@ class BatchExactAgent(LockstepLearner):
         """Per realization, ||Q - Q*||_F / ||Q*||_F from the running sums."""
         norm = self.error_reference()[1]
         return np.sqrt(np.maximum(self._err_sq, 0.0)) / norm
-
-    def q_table(self, r, space: StateSpace) -> np.ndarray:
-        """Realization r's table; ``space`` is the space the agent learns on."""
-        return self.q[r]
 
     def trace_beta(self, j) -> float:
         return float(np.asarray(self._beta).ravel()[0])

@@ -22,13 +22,12 @@ and ``sgd_update`` (``sgd_step``).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caching_core import CacheAction, SystemState, fetched_count, files_mask, write_table
-from .mdp_oracle import StateSpace
+from .mdp_oracle import StateSpace, relative_q_error
 from .popularity import as_discount, as_int, as_number
 from .schedules import EpsilonSchedule, PiecewiseCostSchedule, as_epsilon_schedule
 from .simulate import (
@@ -55,10 +54,7 @@ class LinearLearnerConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha_g", "alpha_l", "alpha_r"):
-            value = as_number(getattr(self, name), name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_number(getattr(self, name), name, "(0, inf)"))
         object.__setattr__(self, "epsilon", as_epsilon_schedule(self.epsilon))
         object.__setattr__(self, "gamma", as_discount(self.gamma))
 
@@ -194,6 +190,7 @@ def linear_td_error(
     gamma: float,
 ) -> float:
     """cost + gamma * min_a' q_hat(s_next, a') - q_hat(s_prev, a)."""
+    cost, gamma = as_number(cost, "cost", "(-inf, inf)"), as_discount(gamma)
     q_prev = q_hat(params, s_prev, a)
     return float(td_error(cost, gamma, psi(params, s_next), a.cache_size, q_prev))
 
@@ -298,9 +295,11 @@ class BatchLinearAgent(LockstepLearner):
             theta_r=float(self.theta_r[realization]),
         )
 
-    def q_table(self, r, space: StateSpace) -> np.ndarray:
-        """Realization r's linear Q over ``space``, built from the raw theta arrays."""
-        return _q_table(self.theta_g[r], self.theta_l[r], self.theta_r[r], space)
+    def normalized_error(self) -> np.ndarray:
+        """Per realization, ||Q - Q*||_F / ||Q*||_F, each Q built from the raw theta arrays."""
+        qstar, norm, space = self.error_reference()
+        thetas = zip(self.theta_g, self.theta_l, self.theta_r)
+        return np.array([relative_q_error(_q_table(*t, space), qstar, norm) for t in thetas])
 
     def trace_beta(self, j) -> float:
         return self.config.alpha_g

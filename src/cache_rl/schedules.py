@@ -27,9 +27,7 @@ class ConstantEpsilon(_EpsilonRule):
     value: float = 0.05
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_number(self.value, "value"))
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
+        object.__setattr__(self, "value", as_number(self.value, "epsilon", "[0, 1]"))
 
     def epsilon_array(self, ts: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(ts).shape, self.value, dtype=np.float64)
@@ -86,7 +84,7 @@ def as_epsilon_schedule(value) -> EpsilonSchedule:
     """An epsilon schedule as is; anything else must be a number, the constant epsilon."""
     if isinstance(value, EpsilonSchedule):
         return value
-    return ConstantEpsilon(as_number(value, "epsilon"))
+    return ConstantEpsilon(value)
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,7 @@ class VisitCountBeta:
 
 def validate_beta(beta):
     """``beta`` checked: a :class:`VisitCountBeta`, or a number in (0, 1] as a float."""
-    if isinstance(beta, VisitCountBeta):
-        return beta
-    beta = as_number(beta, "beta")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    return beta
+    return beta if isinstance(beta, VisitCountBeta) else as_number(beta, "beta", "(0, 1]")
 
 
 # JSON "kind" of every schedule class; a schedule's fields are the other keys.

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching_core import cached_mass, fetched_count, files_label, files_mask, write_table
-from .mdp_oracle import relative_q_error
 from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule, as_cost_schedule
 
@@ -397,10 +396,8 @@ class LockstepLearner:
     """What both learning agents share: the realization index ``_r``, the
     epsilon-greedy coins (drawn before a subclass's own draws), the Q-error
     reference and the epsilon trace. A subclass sets ``f``, ``n_g`` and ``n_l``
-    and adds ``select``, ``learn``, ``trace_beta`` and ``q_table(r, space)``,
-    realization r's Q over ``space``. ``normalized_error`` materializes each
-    ``q_table``; it serves the linear agent only, since the tabular agent
-    keeps a running error sum instead."""
+    and adds ``select``, ``learn``, ``trace_beta`` and ``normalized_error``,
+    each realization's ||Q - Q*||_F / ||Q*||_F against the reference."""
 
     def __init__(self, m: int, config):
         self.m = m
@@ -441,11 +438,6 @@ class LockstepLearner:
         if self._err_ref is None:
             raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
         return self._err_ref
-
-    def normalized_error(self) -> np.ndarray:
-        """Per realization, ||Q - Q*||_F / ||Q*||_F against the reference."""
-        qstar, norm, space = self.error_reference()
-        return np.array([relative_q_error(self.q_table(r, space), qstar, norm) for r in self._r])
 
     def trace_epsilon(self, j) -> float:
         return float(self._eps[j])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -109,8 +110,9 @@ class TestCostParams:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
-        for weights in ((bad, 1, 1), (1, bad, 1), (1, 1, bad)):
-            with pytest.raises(ValueError, match="finite"):
+        rows = ((bad, 1, 1), (1, bad, 1), (1, 1, bad))
+        for name, weights in zip(("lambda1", "lambda2", "lambda3"), rows):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \[0, inf\), got {bad}"):
                 cr.CostParams(*weights)
 
 
@@ -336,6 +338,13 @@ def state(g, l):
 # outside [lo, hi) raises ValueError naming the field and the bound.
 OUT_OF_RANGE = {
     "CacheAction-file": (lambda sp, sc: action((1, 11)), "file index must lie in [1, 11), got 11"),
+    "CacheAction-catalog-low": (
+        lambda sp, sc: cr.CacheAction(files=(1,), catalog_size=0),
+        "catalog_size must be >= 1, got 0",
+    ),
+    "ActionSpace-catalog-low": (
+        lambda sp, sc: cr.ActionSpace(0, 1), "catalog size must be >= 1, got 0"
+    ),
     "ActionSpace-m-low": (
         lambda sp, sc: cr.ActionSpace(10, 0), "cache capacity must lie in [1, 11), got 0"
     ),
@@ -352,6 +361,16 @@ OUT_OF_RANGE = {
     ),
     "expected_cost-l": (
         lambda sp, sc: expected_cost(sp, state(0, 2)), "l must lie in [0, 2), got 2"
+    ),
+    "expected_cost-catalog": (
+        lambda sp, sc: expected_cost_on(*chains12()), "action catalog size must be 12, got 10"
+    ),
+    "expected_cost-local-catalog": (
+        lambda sp, sc: expected_cost_on(sp.g_chain, chains12()[1]),
+        "action catalog size must be 12, got 10",
+    ),
+    "total_variation-catalog": (
+        lambda sp, sc: cr.total_variation([0.5, 0.5], [1.0]), "q catalog size must be 2, got 1"
     ),
     "Scenario-cache_size": (
         lambda sp, sc: cr.scenario_with(sc, cache_size=11), "cache_size must lie in [1, 11), got 11"
@@ -523,12 +542,133 @@ OUT_OF_RANGE = {
 }
 
 
+# Reals go through one rule, as_number(value, name, interval): NaN, an
+# excluded infinity or a value just past a finite end raises ValueError naming
+# the field and the interval, and a bool or a string names the field and the
+# type; a value read from a scenario document fails as the one passed in code.
+REAL_INPUTS = {
+    # case: (build from the space, the s1 scenario and the value; field; interval)
+    "CostParams-lambda1": (lambda sp, sc, x: cr.CostParams(x, 1, 1), "lambda1", "[0, inf)"),
+    "CostParams-lambda2": (lambda sp, sc, x: cr.CostParams(1, x, 1), "lambda2", "[0, inf)"),
+    "CostParams-lambda3": (lambda sp, sc, x: cr.CostParams(1, 1, x), "lambda3", "[0, inf)"),
+    "refresh_cost": (
+        lambda sp, sc, x: cr.refresh_cost(action((1, 2)), action((1, 3)), x), "lambda1", "[0, inf)"
+    ),
+    "mismatch_cost": (
+        lambda sp, sc, x: cr.mismatch_cost(action((1, 2)), sp.l_chain.states[0], x),
+        "lam",
+        "[0, inf)",
+    ),
+    "QLearnerConfig-gamma": (lambda sp, sc, x: cr.QLearnerConfig(gamma=x), "gamma", "[0, 1)"),
+    "LinearLearnerConfig-gamma": (
+        lambda sp, sc, x: cr.LinearLearnerConfig(gamma=x), "gamma", "[0, 1)"
+    ),
+    "Scenario-gamma": (lambda sp, sc, x: cr.scenario_with(sc, gamma=x), "gamma", "[0, 1)"),
+    "linear_td_error-gamma": (lambda sp, sc, x: linear_td_error(1.0, x), "gamma", "[0, 1)"),
+    "linear_td_error-cost": (lambda sp, sc, x: linear_td_error(x, 0.8), "cost", "(-inf, inf)"),
+    "ConstantEpsilon": (lambda sp, sc, x: cr.ConstantEpsilon(x), "epsilon", "[0, 1]"),
+    "QLearnerConfig-epsilon": (lambda sp, sc, x: cr.QLearnerConfig(epsilon=x), "epsilon", "[0, 1]"),
+    "LinearLearnerConfig-epsilon": (
+        lambda sp, sc, x: cr.LinearLearnerConfig(epsilon=x), "epsilon", "[0, 1]"
+    ),
+    "epsilon_greedy_action": (
+        lambda sp, sc, x: learner(sp).epsilon_greedy_action(0, x, np.random.default_rng(0)),
+        "epsilon",
+        "[0, 1]",
+    ),
+    "validate_beta": (lambda sp, sc, x: cr.schedules.validate_beta(x), "beta", "(0, 1]"),
+    "QLearnerConfig-beta": (lambda sp, sc, x: cr.QLearnerConfig(beta=x), "beta", "(0, 1]"),
+    "td_update-beta": (
+        lambda sp, sc, x: learner(sp).td_update(0, 0, 1, 1.0, beta=x), "beta", "(0, 1]"
+    ),
+    "td_update-cost": (lambda sp, sc, x: learner(sp).td_update(0, 0, 1, x), "cost", "(-inf, inf)"),
+    **{
+        f"LinearLearnerConfig-{name}": (
+            lambda sp, sc, x, name=name: cr.LinearLearnerConfig(**{name: x}), name, "(0, inf)"
+        )
+        for name in ("alpha_g", "alpha_l", "alpha_r")
+    },
+    "zipf_profile": (lambda sp, sc, x: cr.zipf_profile(3, x), "zipf exponent", "[0, inf)"),
+    # the same fields read from a scenario document
+    **{
+        f"document-{name}": (
+            lambda sp, sc, x, name=name: from_document(("lambda_schedule", 0, name), x),
+            name,
+            "[0, inf)",
+        )
+        for name in ("lambda1", "lambda2", "lambda3")
+    },
+    "document-gamma": (lambda sp, sc, x: from_document(("gamma",), x), "gamma", "[0, 1)"),
+    "document-beta": (
+        lambda sp, sc, x: from_document(("learner_config", "beta"), x), "beta", "(0, 1]"
+    ),
+    "document-epsilon": (
+        lambda sp, sc, x: from_document(("learner_config", "epsilon"), x), "epsilon", "[0, 1]"
+    ),
+    "document-constant-epsilon": (
+        lambda sp, sc, x: from_document(
+            ("learner_config", "epsilon"), {"kind": "constant", "value": x}
+        ),
+        "epsilon",
+        "[0, 1]",
+    ),
+    **{
+        f"document-{name}": (
+            lambda sp, sc, x, name=name: from_document(("learner_config", name), x, "linear"),
+            name,
+            "(0, inf)",
+        )
+        for name in ("alpha_g", "alpha_l", "alpha_r")
+    },
+}
+# per interval, the value just past each end: the nearest float outside a
+# closed finite end, an open finite end itself, or an excluded infinity
+JUST_OUTSIDE = {
+    "[0, 1)": (-5e-324, 1.0),
+    "(0, 1]": (0.0, 1.0000000000000002),
+    "[0, 1]": (-5e-324, 1.0000000000000002),
+    "[0, inf)": (-5e-324, math.inf),
+    "(0, inf)": (0.0, math.inf),
+    "(-inf, inf)": (-math.inf, math.inf),
+}
+REAL_CASES = [
+    pytest.param(build, value, message, id=f"{case}-{label}")
+    for case, (build, name, interval) in REAL_INPUTS.items()
+    for label, value, message in (
+        ("nan", math.nan, f"{name} must lie in {interval}, got nan"),
+        ("bool", True, f"{name} must not be a boolean, got True"),
+        ("string", "0.5", f"{name} must be a number, got '0.5'"),
+        *((str(x), x, f"{name} must lie in {interval}, got {x}") for x in JUST_OUTSIDE[interval]),
+    )
+]
+
+
+def linear_td_error(cost, gamma):
+    s = state(0, 0)
+    return cr.linear_td_error(cr.LinearParams.zeros(2, 2, 10), s, action((1, 3)), s, cost, gamma)
+
+
+def from_document(keys, value, learner=None):
+    """The short s1 scenario read back from its document with ``value`` at ``keys``."""
+    sc = cr.preset_scenario("s1", horizon=20, realizations=1, learner=learner)
+    doc = node = json.loads(cr.scenario_to_json(sc))
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cr.scenario_from_json(json.dumps(doc))
+
+
 def chains12():
     return cr.small_network_chains(12)
 
 
 def expected_cost(sp, prev):
     return cr.expected_cost(prev, action((1, 2)), sp.g_chain, sp.l_chain, cr.CostParams(1, 1, 1))
+
+
+def expected_cost_on(g_chain, l_chain):
+    """A 10-file action's expected cost under the given chains."""
+    return cr.expected_cost(state(0, 0), action((1, 2)), g_chain, l_chain, cr.CostParams(1, 1, 1))
 
 
 @pytest.fixture(scope="module")
@@ -548,6 +688,14 @@ def test_out_of_range_raises_naming_its_field(case, small_space, short_s1):
     build, message = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(small_space, short_s1)
+
+
+@pytest.mark.parametrize("build, value, message", REAL_CASES)
+def test_real_outside_its_interval_raises_naming_its_field(
+    build, value, message, small_space, short_s1
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(small_space, short_s1, value)
 
 
 def test_whole_floats_convert_like_ints(small_space):

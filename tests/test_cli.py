@@ -182,7 +182,30 @@ def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
     sc_path.write_text(json.dumps(doc))
     out_path = tmp_path / "m.csv"
     assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
-    assert "lambda2 must be finite" in capsys.readouterr().err
+    assert "lambda2 must lie in [0, inf), got nan" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "keys, bad, message",
+    [
+        (("gamma",), 1.0, "gamma must lie in [0, 1), got 1.0"),
+        (("learner_config", "beta"), 0.0, "beta must lie in (0, 1], got 0.0"),
+        (("learner_config", "epsilon"), 1.5, "epsilon must lie in [0, 1], got 1.5"),
+        (("lambda_schedule", 0, "lambda3"), -1.0, "lambda3 must lie in [0, inf), got -1.0"),
+    ],
+)
+def test_run_rejects_real_outside_its_interval(tmp_path, capsys, keys, bad, message):
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = bad
+    sc_path = tmp_path / "bad.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import cache_rl as cr
 from cache_rl import mdp_oracle
 from cache_rl.caching_core import aggregate_cost
+from cache_rl.mdp_oracle import relative_q_error
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.schedules import ExploreThenInverseDecay, VisitCountBeta
-from cache_rl.simulate import CHUNK, LockstepLearner, realization_rng
+from cache_rl.simulate import CHUNK, realization_rng
 from oracles_util import LoopExactLearner, loop_slot_cost
 
 
@@ -81,7 +82,7 @@ class TestTdUpdate:
     def test_explicit_beta_checked_like_the_configured_one(self, small_space, beta):
         learner = make_learner(small_space)
         learner.q[1] = 4.0
-        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^beta must lie in \(0, 1\], got {beta}$"):
             learner.td_update(0, 0, 1, cost=10.0, beta=beta)
         assert learner.q[0, 0] == 0.0
         assert learner.visits[0, 0] == 0
@@ -301,7 +302,9 @@ class RecordingExactAgent(BatchExactAgent):
 
     def normalized_error(self):
         running = super().normalized_error()
-        self.snapshots.append((running, LockstepLearner.normalized_error(self)))
+        qstar, norm, _ = self.error_reference()
+        exact = np.array([relative_q_error(q_r, qstar, norm) for q_r in self.q])
+        self.snapshots.append((running, exact))
         return running
 
 

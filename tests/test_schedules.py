@@ -100,9 +100,9 @@ class TestEpsilonSchedules:
                 beta_from_json(bad)
             with pytest.raises(ValueError, match="beta must not be a boolean"):
                 validate_beta(bad)
-            with pytest.raises(ValueError, match="value must not be a boolean"):
+            with pytest.raises(ValueError, match="epsilon must not be a boolean"):
                 epsilon_schedule_from_json({"kind": "constant", "value": bad})
-            with pytest.raises(ValueError, match="value must not be a boolean"):
+            with pytest.raises(ValueError, match="epsilon must not be a boolean"):
                 ConstantEpsilon(bad)
 
     def test_beta_json(self):
