@@ -298,15 +298,21 @@ def long_run_average_cost(
 
 def relative_q_error(q: np.ndarray, q_star: np.ndarray, star_norm=None) -> float:
     """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table
-    (``star_norm``: ||Q*||_F, when the caller holds it already)."""
+    (``star_norm``: ||Q*||_F, when the caller holds it already). Raises
+    ValueError unless ||Q*||_F is finite and nonzero and ||Q - Q*||_F finite,
+    so a non-finite or overflowing table never gives a NaN or inf error."""
     q = np.asarray(q, dtype=np.float64)
     q_star = np.asarray(q_star, dtype=np.float64)
     if q.shape != q_star.shape:
         raise ValueError("Q tables must have identical shapes")
-    denom = float(np.linalg.norm(q_star)) if star_norm is None else star_norm
-    if denom == 0.0:
-        raise ValueError("reference Q table has zero norm")
-    return float(np.linalg.norm(q - q_star) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
+        denom = float(np.linalg.norm(q_star)) if star_norm is None else star_norm
+        error = float(np.linalg.norm(q - q_star))
+    if not 0.0 < denom < np.inf:
+        raise ValueError(f"reference Q table must have a finite nonzero norm, got {denom}")
+    if not error < np.inf:
+        raise ValueError(f"||Q - Q*||_F must be finite, got {error}")
+    return error / denom
 
 
 def export_policy_csv(space: StateSpace, policy: np.ndarray, values: np.ndarray, path) -> None:

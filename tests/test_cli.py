@@ -105,6 +105,23 @@ def test_run_reports_divergence(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_run_reports_overflowing_q_error_as_divergence(tmp_path, capsys, monkeypatch):
+    """Finite parameters whose squared Q error overflows: exit 3, not an inf metric."""
+    learn = cr.q_linear.BatchLinearAgent.learn
+
+    def learn_to_huge(self, *args):
+        learn(self, *args)
+        self.theta_g[:] = 1e160
+
+    monkeypatch.setattr(cr.q_linear.BatchLinearAgent, "learn", learn_to_huge)
+    out = tmp_path / "m.csv"
+    argv = ["run", "--scenario", "s1", "--learner", "linear", "--horizon", "5",
+            "--realizations", "1", "--oracle-compare", "--out", str(out)]
+    assert main(argv) == 3
+    assert "non-finite linear Q error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_subcommand_exports_three_csvs(tmp_path, capsys):
     prefix = tmp_path / "oracle"
     code = main(["oracle", "--scenario", "s2", "--out", str(prefix)])

@@ -568,6 +568,24 @@ class TestMetricsHelpers:
         with pytest.raises(ValueError):
             cr.normalized_q_error(q_star, np.zeros_like(q_star))
 
+    @pytest.mark.parametrize(
+        "q, q_star, message",
+        [
+            (np.ones((2, 2)), np.full((2, 2), np.nan), "reference Q table must have a finite nonzero norm"),
+            (np.full((2, 2), np.inf), np.ones((2, 2)), r"\|\|Q - Q\*\|\|_F must be finite"),
+        ],
+        ids=["nan-ref", "inf-q"],
+    )
+    def test_normalized_q_error_rejects_non_finite_tables(self, q, q_star, message):
+        with pytest.raises(ValueError, match=message):
+            cr.normalized_q_error(q, q_star)
+
+    def test_normalized_q_error_rejects_non_finite_reference_for_params(self, small_space):
+        q_star = np.ones((small_space.n_states, small_space.n_actions))
+        q_star[3, 4] = np.nan
+        with pytest.raises(ValueError, match="reference Q table must have a finite nonzero norm, got nan"):
+            cr.normalized_q_error(LinearParams.zeros(2, 2, 10), q_star, small_space)
+
     def test_normalized_q_error_materializes_linear_params(self, small_space):
         rng = np.random.default_rng(1)
         params = LinearParams(

@@ -328,6 +328,30 @@ class TestAverageCostAndExport:
         assert not path.exists()
 
 
+class TestRelativeQError:
+    @pytest.mark.parametrize(
+        "q, q_star, message",
+        [
+            (np.ones((2, 2)), np.full((2, 2), np.nan), "reference Q table must have a finite nonzero norm, got nan"),
+            (np.ones((2, 2)), np.full((2, 2), -np.inf), "reference Q table must have a finite nonzero norm, got inf"),
+            (np.ones((2, 2)), np.full((2, 2), 1e200), "reference Q table must have a finite nonzero norm, got inf"),
+            (np.ones((2, 2)), np.zeros((2, 2)), "reference Q table must have a finite nonzero norm, got 0.0"),
+            (np.full((2, 2), np.nan), np.ones((2, 2)), r"\|\|Q - Q\*\|\|_F must be finite, got nan"),
+            (np.full((2, 2), np.inf), np.ones((2, 2)), r"\|\|Q - Q\*\|\|_F must be finite, got inf"),
+            (np.full((2, 2), 1e200), np.ones((2, 2)), r"\|\|Q - Q\*\|\|_F must be finite, got inf"),
+        ],
+        ids=["nan-ref", "inf-ref", "overflow-ref", "zero-ref", "nan-q", "inf-q", "overflow-q"],
+    )
+    def test_non_finite_table_raises(self, q, q_star, message):
+        """A NaN or inf error used to be returned; no warning escapes either."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mdp_oracle.relative_q_error(q, q_star)
+
+    def test_examples(self):
+        assert mdp_oracle.relative_q_error(np.ones((2, 2)), 2 * np.ones((2, 2))) == 0.5
+        assert mdp_oracle.relative_q_error(np.zeros((2, 2)), np.ones((2, 2)), star_norm=4.0) == 0.5
+
+
 class TestEpsilonSoftAverageCost:
     def test_matches_epsilon_greedy_rollout(self):
         rng = np.random.default_rng(11)

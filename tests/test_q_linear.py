@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cache_rl as cr
 from cache_rl.q_linear import BatchLinearAgent, LinearParams, top_m
 from cache_rl.simulate import CHUNK, DivergenceError, realization_rng
-from oracles_util import LoopLinearLearner, loop_slot_cost, loop_top_m
+from oracles_util import LoopLinearLearner, loop_slot_cost, loop_top_m, random_instance
 
 
 def state(g, l, files, f):
@@ -428,3 +430,107 @@ class TestConvergenceSmall:
         )
         trace = cr.run_scenario(sc)
         assert abs(trace.run_avg_cost[-1] - oracle_avg) / oracle_avg < 0.10
+
+
+@st.composite
+def error_cases(draw):
+    """A random instance (F <= 7, every M), a Q* over it, either the oracle's or
+    ``q_table(lambda1, W)`` with a random W, and R sets of random parameters,
+    theta_r either near lambda1 or anywhere."""
+    f = draw(st.integers(1, 7))
+    m = draw(st.integers(1, f))
+    n_g, n_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space, params = random_instance(rng, f=f, m=m, n_g=n_g, n_l=n_l)
+    if draw(st.booleans()):
+        qstar = cr.policy_iteration(space, 0.8, params).q
+    else:
+        w = rng.normal(scale=params.lambda1, size=(n_g * n_l, space.n_actions))
+        qstar = space.q_table(params.lambda1, w)
+    assume(np.linalg.norm(qstar) > 0.0)  # with M = F the oracle's costs may all round to 0
+    n_real = draw(st.integers(1, 4))
+    scale = params.lambda1 / f
+    theta_g = rng.normal(scale=scale, size=(n_real, n_g, f))
+    theta_l = rng.normal(scale=scale, size=(n_real, n_l, f))
+    if draw(st.booleans()):
+        theta_r = params.lambda1 * (1.0 + rng.normal(scale=1e-6, size=n_real))
+    else:
+        theta_r = rng.normal(scale=params.lambda1, size=n_real)
+    return space, qstar, theta_g, theta_l, theta_r
+
+
+class TestClosedFormQError:
+    """``BatchLinearAgent.normalized_error`` sums per overlap k = |a_prev & a|;
+    ``normalized_q_error`` materializes each realization's (|S|, |A|) table."""
+
+    @staticmethod
+    def agent_for(space, qstar, n_real):
+        f, m = space.catalog_size, space.cache_size
+        agent = BatchLinearAgent(space.n_g, space.n_l, f, m, cr.LinearLearnerConfig())
+        agent.set_error_reference(qstar, space)
+        agent.begin(n_real)
+        return agent
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(error_cases())
+    def test_equals_the_materialized_error(self, case):
+        space, qstar, theta_g, theta_l, theta_r = case
+        agent = self.agent_for(space, qstar, len(theta_r))
+        agent.theta_g[:], agent.theta_l[:], agent.theta_r[:] = theta_g, theta_l, theta_r
+        materialized = [
+            cr.normalized_q_error(agent.params_of(r), qstar, space) for r in range(len(theta_r))
+        ]
+        np.testing.assert_allclose(agent.normalized_error(), materialized, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["random", "one-entry"])
+    def test_reference_outside_the_overlap_rule_rejected(self, small_net, small_space, kind):
+        """A random table, and Q* with one entry of a 28-member overlap class
+        moved: Q*(g=0, l=0, a_prev={9, 10}, a={1, 2}), overlap 0."""
+        qstar = cr.policy_iteration(small_space, 0.8, cr.PRESET_PARAMS["s1"]).q
+        agent = self.agent_for(small_space, qstar, 1)
+        if kind == "random":
+            bad = np.random.default_rng(3).uniform(1.0, 5.0, size=qstar.shape)
+        else:
+            bad = qstar.copy()
+            bad[44, 0] += 1.0
+        message = "^Q\\* reference must depend on the previous cache only through its overlap"
+        with pytest.raises(ValueError, match=message):
+            agent.set_error_reference(bad, small_space)
+        assert agent.error_reference()[0] is qstar  # the earlier reference stands
+        fresh = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        with pytest.raises(ValueError, match=message):
+            fresh.set_error_reference(bad, small_space)
+        with pytest.raises(ValueError, match="call set_error_reference"):
+            fresh.error_reference()
+
+    def test_one_snapshot_at_twenty_files_stays_small(self):
+        """F = 20, M = 3, R = 10: each Q table would take 39.7 MiB."""
+        space = cr.StateSpace(*cr.small_network_chains(20), 3)
+        qstar = cr.policy_iteration(space, 0.8, cr.PRESET_PARAMS["s1"]).q
+        agent = self.agent_for(space, qstar, 10)
+        rng = np.random.default_rng(5)
+        agent.theta_g[:] = rng.normal(scale=100.0, size=agent.theta_g.shape)
+        agent.theta_l[:] = rng.normal(scale=100.0, size=agent.theta_l.shape)
+        agent.theta_r[:] = rng.normal(scale=600.0, size=10)
+        tracemalloc.start()
+        try:
+            errors = agent.normalized_error()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        expected = cr.normalized_q_error(agent.params_of(9), qstar, space)
+        assert errors[9] == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_error_diverges(self, small_space):
+        """theta_g = 1e160 overflows the squared error: DivergenceError, no warning, no inf."""
+        qstar = cr.policy_iteration(small_space, 0.8, cr.PRESET_PARAMS["s1"]).q
+        agent = self.agent_for(small_space, qstar, 2)
+        agent.theta_g[1] = 1e160
+        with pytest.raises(DivergenceError, match="^non-finite linear Q error; aborting run$"):
+            agent.normalized_error()
