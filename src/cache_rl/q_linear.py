@@ -240,7 +240,8 @@ def overlap_table(qstar: np.ndarray, space: StateSpace):
     """
     m, n_a = space.cache_size, space.n_actions
     ks = np.arange(m + 1)
-    weights = np.array([math.comb(m, k) * math.comb(space.catalog_size - m, m - k) for k in ks], float)
+    n_k = [math.comb(m, k) * math.comb(space.catalog_size - m, m - k) for k in ks]
+    weights = np.array(n_k, dtype=np.float64)
     step = max(1, 2**16 // (8 * n_a))
     # the overlap is symmetric, so row a of it lists each a_prev's overlap with a
     first = np.empty((m + 1, n_a), dtype=np.intp)
@@ -349,15 +350,16 @@ class BatchLinearAgent(LockstepLearner):
         self._uncached = (1.0 - space.action_masks).T
 
     def normalized_error(self) -> np.ndarray:
-        """Per realization, ||Q - Q*||_F / ||Q*||_F in the per-overlap closed form.
+        """Per realization, ||Q - Q*||_F / ||Q*||_F in the per-overlap closed form:
+        the root of the sum over (g, l, k, a) of n_k * (theta_r * (M - k) + D - Q*_k)^2,
+        in O(n_g * n_l * |A| * (M + 1)) per realization, for a Q* that depends
+        on the previous cache only through the overlap k (the rule that
+        ``set_error_reference`` checks).
 
         For each (g, l) and block of realizations, D = (theta_g[r, g] +
-        theta_l[r, l]) (1 - a) is one matmul, and the block adds
-        sum over (k, a) of n_k * (theta_r * (M - k) + D - Q*_k)^2, from the
-        table of :func:`overlap_table`: O(n_g * n_l * |A| * (M + 1)) per
-        realization. A block's temporaries take at most 64 KiB (or one
-        realization), under glibc's mmap threshold. A sum that overflows, or
-        a non-finite theta, raises DivergenceError.
+        theta_l[r, l]) (1 - a) is one matmul. A block's temporaries take at
+        most 64 KiB (or one realization), under glibc's mmap threshold. A sum
+        that overflows, or a non-finite theta, raises DivergenceError.
         """
         norm, space = self.error_reference()[1:]
         rep, weights = self._by_overlap
@@ -370,11 +372,12 @@ class BatchLinearAgent(LockstepLearner):
             for gl, rep_gl in enumerate(rep):
                 g, l = divmod(gl, space.n_l)
                 for r in range(0, n_real, step):
-                    d = (self.theta_g[r : r + step, g] + self.theta_l[r : r + step, l]) @ self._uncached
-                    e = (self.theta_r[r : r + step, None] * refresh)[:, :, None] + d[:, None, :]
+                    at = slice(r, r + step)
+                    d = (self.theta_g[at, g] + self.theta_l[at, l]) @ self._uncached
+                    e = (self.theta_r[at, None] * refresh)[:, :, None] + d[:, None, :]
                     e -= rep_gl
                     e *= e
-                    err_sq[r : r + step] += e.sum(axis=2) @ weights
+                    err_sq[at] += e.sum(axis=2) @ weights
             err = np.sqrt(err_sq) / norm
         if not np.isfinite(err).all():
             raise DivergenceError("non-finite linear Q error; aborting run")
