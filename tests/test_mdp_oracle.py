@@ -347,10 +347,6 @@ class TestRelativeQError:
         with pytest.raises(ValueError, match=f"^{message}$"):
             mdp_oracle.relative_q_error(q, q_star)
 
-    def test_examples(self):
-        assert mdp_oracle.relative_q_error(np.ones((2, 2)), 2 * np.ones((2, 2))) == 0.5
-        assert mdp_oracle.relative_q_error(np.zeros((2, 2)), np.ones((2, 2)), star_norm=4.0) == 0.5
-
 
 class TestEpsilonSoftAverageCost:
     def test_matches_epsilon_greedy_rollout(self):
