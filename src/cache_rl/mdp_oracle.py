@@ -49,12 +49,18 @@ class StateSpace:
         self.n_l = l_chain.n_states
         self.n_actions = len(self.action_files)
         self.n_states = self.n_g * self.n_l * self.n_actions
-        if 8 * self.n_actions**2 > _PHYSICAL_MEMORY:
-            raise ValueError(f"the {self.n_actions}-action refresh table is too large to materialize")
-        m = self.actions.m
-        # overlap[a, b] = |a & b|, refresh_counts[a, b] = |b \ a|
-        overlap = self.action_masks @ self.action_masks.T
-        self.refresh_counts = np.subtract(m, overlap, out=overlap)
+        m, n_a, masks = self.actions.m, self.n_actions, self.action_masks
+        counts_type = np.min_scalar_type(m)
+        if counts_type.itemsize * n_a**2 > _PHYSICAL_MEMORY:
+            raise ValueError(f"the {n_a}-action refresh table is too large to materialize")
+        # refresh_counts[a, b] = |b \ a| = M - |a & b|, in the smallest type that
+        # holds M. Filled in row blocks of at most 64 KiB, under glibc's 128 KiB
+        # mmap threshold: a freed (|A|, |A|) float64 temporary would raise that
+        # threshold and grow peak RSS.
+        self.refresh_counts = np.empty((n_a, n_a), dtype=counts_type)
+        step = max(1, 2**16 // (8 * n_a))
+        for a in range(0, n_a, step):
+            self.refresh_counts[a : a + step] = m - masks[a : a + step] @ masks.T
         # Components of every state, in index order.
         gl, self.state_actions = np.divmod(np.arange(self.n_states), self.n_actions)
         self.state_g, self.state_l = np.divmod(gl, self.n_l)

@@ -285,7 +285,7 @@ def step_chain(chain: MarkovChain, current: int, rng: np.random.Generator) -> in
 
 def sample_requests(profile: PopularityProfile, n: int, rng: np.random.Generator) -> RequestBatch:
     """Aggregate ``n`` i.i.d. categorical file requests into per-file counts."""
-    n = as_int(n, "request count", 1)
+    n = as_int(n, "request count", 1, 2**63)  # a Generator draws int64 counts
     counts = rng.multinomial(n, profile.probs)
     return RequestBatch(counts)
 

@@ -152,9 +152,11 @@ class BatchExactAgent(LockstepLearner):
 
     def predraw(self, rngs, ts) -> None:
         super().predraw(rngs, ts)
-        self._explore_a = np.empty((ts.size, len(rngs)), dtype=np.int64)
+        # drawn as int64, stored in the smallest type that holds |A| - 1
+        n_a = self.space.n_actions
+        self._explore_a = np.empty((ts.size, len(rngs)), dtype=np.min_scalar_type(n_a - 1))
         for r, rng in enumerate(rngs):
-            self._explore_a[:, r] = rng.integers(0, self.space.n_actions, size=ts.size)
+            self._explore_a[:, r] = rng.integers(0, n_a, size=ts.size)
 
     def select(self, j, g, l_seen, a_prev):
         rows = self._next_rows

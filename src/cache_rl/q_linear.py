@@ -252,7 +252,7 @@ def overlap_table(qstar: np.ndarray, space: StateSpace):
     cols = np.arange(n_a)
     rep = q[:, first, cols]
     for a in range(0, n_a, step):
-        overlap = (m - space.refresh_counts[a : a + step]).astype(np.intp)
+        overlap = m - space.refresh_counts[a : a + step]
         for q_gl, rep_gl in zip(q, rep):
             if not np.array_equal(q_gl[a : a + step], rep_gl[overlap, cols]):
                 raise ValueError(

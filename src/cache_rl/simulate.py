@@ -20,7 +20,9 @@ Two revelation modes are supported. In "state" mode the true local chain
 state is revealed each slot. In "empirical" mode the agent instead sees a
 finite batch of sampled requests: the local profile is estimated from the
 counts, quantized to the nearest chain state for learning, and the realized
-count fractions drive the cost and the hit metric.
+count fractions drive the cost and the hit metric. A chunk keeps the counts
+in the smallest unsigned type that holds ``requests_per_slot``, and each
+slot divides its row into one float64 (R, F) fractions buffer.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class PopularityEnv:
         as_int(self.l_chain.catalog_size, "local chain catalog size", f, f + 1)
         if self.request_mode not in REQUEST_MODES:
             raise ValueError(f"request_mode must be one of {REQUEST_MODES}")
-        n_requests = as_int(self.requests_per_slot, "requests_per_slot", 1)
+        # below 2**63: a Generator draws int64 counts, and the count table's type holds n
+        n_requests = as_int(self.requests_per_slot, "requests_per_slot", 1, 2**63)
         object.__setattr__(self, "requests_per_slot", n_requests)
 
     @property
@@ -174,8 +177,10 @@ def run_lockstep(
 
     Hot path: every per-chunk array is slot-major, (n, R, ...), so slot j
     reads row j: the chains' paths from :func:`chain_path`, the agents' draws
-    and the empirical request fractions, one float64 (n, R, F) buffer that
-    each realization's counts are divided into. Each slot stores its (R,) cost
+    and the empirical request counts, an (n, R, F) table in the smallest
+    unsigned type that holds ``requests_per_slot``. Each slot divides its
+    counts into one float64 (R, F) fractions buffer, allocated once per run,
+    which the cost and the quantization read. Each slot stores its (R,) cost
     and hit fraction as one row of a (``DRAW_ROWS``, R) buffer; a full block
     (or the last slot) gets its per-slot means as row sums, bit for bit each
     row's own ``.mean()``, and its window sums row by row in slot order. The
@@ -213,6 +218,7 @@ def run_lockstep(
     walk_l = walk_table(np.cumsum(env.l_chain.transition, axis=1))
     empirical = env.request_mode == "empirical"
     n_req = env.requests_per_slot
+    freq = np.empty((n_real, f)) if empirical else None  # the slot's request fractions
 
     g = np.array([int(rng.integers(n_g)) for rng in rngs], dtype=np.int64)
     l = np.array([int(rng.integers(n_l)) for rng in rngs], dtype=np.int64)
@@ -276,11 +282,11 @@ def run_lockstep(
             u[:, r] = rng.random(n)
         l_path = chain_path(walk_l, l, u)
         del u
-        freq = None
-        if empirical:  # each realization's counts, as fractions of the slot's requests
-            freq = np.empty((n, n_real, f))
+        counts = None
+        if empirical:  # each realization's request counts
+            counts = np.empty((n, n_real, f), dtype=np.min_scalar_type(n_req))
             for r, rng in enumerate(rngs):
-                np.divide(rng.multinomial(n_req, l_profiles[l_path[:, r]]), n_req, out=freq[:, r])
+                counts[:, r] = rng.multinomial(n_req, l_profiles[l_path[:, r]])
         agent.predraw(rngs, ts)
         if trace is not None:
             trace.g_states[c0 : c0 + n] = g_path[:, 0]
@@ -299,8 +305,9 @@ def run_lockstep(
                 uncached_g = 1.0 - hit_g.take(g_next * n_a + choice)
                 refresh = space.refresh_counts.take(prev * n_a + choice)
             if empirical:
-                cached_l = cached_mass(mask, freq[j])
-                l_next_seen = nearest_states(freq[j], l_profiles)
+                np.divide(counts[j], n_req, out=freq)
+                cached_l = cached_mass(mask, freq)
+                l_next_seen = nearest_states(freq, l_profiles)
             elif mask is None:
                 cached_l = hit_l.take(l_next * n_a + choice)
             else:
@@ -323,7 +330,7 @@ def run_lockstep(
                 trace.betas[t] = agent.trace_beta(j)
 
             g, l, l_seen, prev = g_next, l_next, l_next_seen, choice
-        del g_path, l_path, freq
+        del g_path, l_path, counts
 
     lengths = np.array([b - a for a, b in windows])
     win_cost /= lengths
@@ -394,8 +401,9 @@ def run_single(env, agent, cost_schedule, horizon: int, rng: np.random.Generator
 
 class LockstepLearner:
     """What both learning agents share: the realization index ``_r``, the
-    epsilon-greedy coins (drawn before a subclass's own draws), the Q-error
-    reference and the epsilon trace. A subclass sets ``f``, ``n_g`` and ``n_l``
+    epsilon-greedy coins (drawn before a subclass's own draws and kept as an
+    (n, R) bool table of u < epsilon), the Q-error reference and the epsilon
+    trace. A subclass sets ``f``, ``n_g`` and ``n_l``
     and adds ``select``, ``learn``, ``trace_beta`` and ``normalized_error``,
     each realization's ||Q - Q*||_F / ||Q*||_F against the reference."""
 
@@ -409,13 +417,13 @@ class LockstepLearner:
 
     def predraw(self, rngs, ts) -> None:
         self._eps = self.config.epsilon.epsilon_array(ts + 1)
-        self._u = np.empty((ts.size, len(rngs)))
+        self._explore = np.empty((ts.size, len(rngs)), dtype=bool)
         for r, rng in enumerate(rngs):
-            self._u[:, r] = rng.random(ts.size)
+            np.less(rng.random(ts.size), self._eps, out=self._explore[:, r])
 
     def explores(self, j) -> np.ndarray:
         """Per realization, whether slot ``j`` of the chunk explores."""
-        return self._u[j] < self._eps[j]
+        return self._explore[j]
 
     def set_error_reference(self, qstar: np.ndarray, space) -> None:
         """Reference Q table over ``space``, a state space of this learner's network:
@@ -453,15 +461,19 @@ def uniform_subsets(u: np.ndarray, m: int) -> np.ndarray:
 
 
 class UniformActionDraws:
-    """Chunked sampling of :func:`uniform_subsets`, one per slot per realization."""
+    """Chunked sampling of :func:`uniform_subsets`, one per slot per realization.
+
+    ``files`` is (n, R, M), unordered within a row, in the smallest unsigned
+    type that holds F - 1.
+    """
 
     def __init__(self, f: int, m: int):
         self.f = as_int(f, "catalog size", 1)
         self.m = as_int(m, "cache capacity", 1, self.f + 1)
-        self.files: np.ndarray | None = None  # (n, R, M), unordered within a row
+        self.files: np.ndarray | None = None
 
     def draw(self, rngs, n: int) -> None:
-        self.files = np.empty((n, len(rngs), self.m), dtype=np.intp)
+        self.files = np.empty((n, len(rngs), self.m), dtype=np.min_scalar_type(self.f - 1))
         for r, rng in enumerate(rngs):
             # row blocks keep the (rows, F) temporaries small; the stream is unchanged
             for lo in range(0, n, DRAW_ROWS):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
+from cache_rl import mdp_oracle
 from cache_rl.caching_core import MATERIALIZE_LIMIT
 
 
@@ -83,9 +84,11 @@ class TestActionSpace:
         with pytest.raises(ValueError, match="too large to materialize"):
             cr.StateSpace(*cr.large_network_chains(), 10)
 
-    def test_state_space_rejects_tables_beyond_physical_memory(self):
+    def test_state_space_rejects_tables_beyond_physical_memory(self, monkeypatch):
         # |A| = C(30, 5) = 142 506 passes the action limit, but the space's own
-        # (|A|, |A|) refresh table would take 8 * 142 506**2 B, about 151 GiB
+        # (|A|, |A|) uint8 refresh table would take 142 506**2 B, about 18.9 GiB,
+        # more than the 16 GiB of physical memory set here
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 16 * 2**30)
         assert math.comb(30, 5) < MATERIALIZE_LIMIT
         with pytest.raises(ValueError, match="142506-action refresh table is too large to materialize"):
             cr.StateSpace(*cr.small_network_chains(30), 5)
@@ -421,7 +424,11 @@ OUT_OF_RANGE = {
     ),
     "PopularityEnv-requests": (
         lambda sp, sc: cr.PopularityEnv(sp.g_chain, sp.l_chain, requests_per_slot=0),
-        "requests_per_slot must be >= 1, got 0",
+        f"requests_per_slot must lie in [1, {2**63}), got 0",
+    ),
+    "PopularityEnv-requests-int64": (
+        lambda sp, sc: cr.PopularityEnv(sp.g_chain, sp.l_chain, requests_per_slot=2**63),
+        f"requests_per_slot must lie in [1, {2**63}), got {2**63}",
     ),
     "run_lockstep-horizon": (lambda sp, sc: lockstep(sc, 0), "horizon must be >= 1, got 0"),
     "long_run_average_cost-max_iter": (

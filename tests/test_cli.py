@@ -270,6 +270,19 @@ def test_run_rejects_fractional_int_field(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_run_rejects_requests_per_slot_beyond_int64(tmp_path, capsys):
+    # a Generator draws int64 counts: 2**63 requests would fail inside the run
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
+    doc["request_mode"] = "empirical"
+    doc["requests_per_slot"] = 2**63
+    sc_path = tmp_path / "big.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert f"requests_per_slot must lie in [1, {2**63}), got {2**63}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_run_rejects_unknown_key(tmp_path, capsys):
     doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=50, realizations=1)))
     doc["horizn"] = 50

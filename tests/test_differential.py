@@ -86,7 +86,8 @@ def instances(draw, max_m):
         g_chain=g_chain,
         l_chain=l_chain,
         request_mode=mode,
-        requests_per_slot=draw(st.integers(1, 30)),
+        # 255/256 and 65535/65536 cross the count table's uint8/uint16/uint32 boundaries
+        requests_per_slot=draw(st.integers(1, 30) | st.sampled_from([255, 256, 65_535, 65_536])),
     )
     bounds = st.lists(st.integers(0, horizon), min_size=2, max_size=2, unique=True).map(sorted)
     return dict(

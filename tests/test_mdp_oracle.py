@@ -501,6 +501,23 @@ class TestDenseReference:
         assert avg == pytest.approx(ref, rel=1e-12)
 
 
+class TestRefreshTable:
+    def test_compact_and_built_in_blocks(self):
+        """At F = 20, M = 3 the (|A|, |A|) refresh table is 1140**2 B, 1.24 MiB,
+        in uint8; a float64 table or matmul over all of it would take 9.9 MiB."""
+        chains = cr.small_network_chains(20)
+        tracemalloc.start()
+        try:
+            space = cr.StateSpace(*chains, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.refresh_counts.dtype.kind == "u"
+        assert peak < 2 * 2**20
+        masks = space.action_masks
+        np.testing.assert_array_equal(space.refresh_counts, 3 - masks @ masks.T)
+
+
 class TestPostDecisionSolver:
     """Policy iteration on W against the full-table functions it replaced."""
 
@@ -538,7 +555,7 @@ class TestPostDecisionSolver:
     def test_solves_where_q_does_not_fit(self, small_net, monkeypatch):
         params = cr.PRESET_PARAMS["s1"]
         expected = cr.policy_iteration(cr.StateSpace(*small_net, 2), 0.8, params)
-        # the 45 x 45 refresh table takes 16 200 B, one 180 x 45 table 64 800 B
+        # the 45 x 45 uint8 refresh table takes 2 025 B, one 180 x 45 table 64 800 B
         monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 32_000)
         space = cr.StateSpace(*small_net, 2)
         res = cr.policy_iteration(space, 0.8, params)
@@ -548,7 +565,7 @@ class TestPostDecisionSolver:
             res.q
         with pytest.raises(ValueError, match="180-state Q table is too large to materialize"):
             cr.q_from_value(space, res.values, 0.8, params)
-        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 16_000)
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 2_000)
         with pytest.raises(ValueError, match="45-action refresh table is too large to materialize"):
             cr.StateSpace(*small_net, 2)
 

@@ -287,7 +287,11 @@ OUT_OF_RANGE = {
     ),
     "sample_requests-n": (
         lambda chain: cr.sample_requests(chain.states[0], 0, np.random.default_rng(0)),
-        "request count must be >= 1, got 0",
+        f"request count must lie in [1, {2**63}), got 0",
+    ),
+    "sample_requests-n-int64": (
+        lambda chain: cr.sample_requests(chain.states[0], 2**63, np.random.default_rng(0)),
+        f"request count must lie in [1, {2**63}), got {2**63}",
     ),
     "random_chain-n_states": (
         lambda chain: cr.random_chain(0, 3, np.random.default_rng(0)),

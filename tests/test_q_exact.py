@@ -120,7 +120,7 @@ class TestRepeatVisitMean:
 class TestTableMemoryCheck:
     """The learners' (|S|, |A|) tables are checked against physical memory before allocation."""
 
-    # one 180 x 45 table takes 64 800 B, the 45 x 45 refresh table 16 200 B
+    # one 180 x 45 table takes 64 800 B, the 45 x 45 refresh table 2 025 B
     MEMORY = 100_000
 
     @pytest.mark.parametrize("beta, n_real", [(0.8, 2), (VisitCountBeta(), 1)])
@@ -141,6 +141,26 @@ class TestTableMemoryCheck:
         monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", self.MEMORY)
         with pytest.raises(ValueError, match="180-state Q table x 2 is too large to materialize"):
             make_learner(small_space)
+
+
+class TestStoredDraws:
+    def test_exploration_beyond_uint8(self):
+        """|A| = C(24, 2) = 276 actions need uint16. The coins and the
+        exploration actions equal what each Generator gives, in that order."""
+        space = cr.StateSpace(*cr.small_network_chains(24), 2)
+        agent = BatchExactAgent(space, cr.QLearnerConfig(epsilon=0.5))
+        n, seeds = 300, (5, 6)
+        agent.begin(len(seeds))
+        agent.predraw([np.random.default_rng(s) for s in seeds], np.arange(n))
+        explore = np.array([agent.explores(j) for j in range(n)])
+        assert agent._explore_a.dtype == np.uint16 and agent._explore_a.max() > 255
+        for r, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            np.testing.assert_array_equal(explore[:, r], rng.random(n) < 0.5)
+            np.testing.assert_array_equal(agent._explore_a[:, r], rng.integers(0, 276, size=n))
+        zeros = np.zeros(len(seeds), dtype=np.int64)
+        a = agent.select(0, zeros, zeros, zeros)
+        np.testing.assert_array_equal(a, np.where(explore[0], agent._explore_a[0], 0))
 
 
 class TestRunExact:
