@@ -296,7 +296,7 @@ def run_scenario(
             error_slots = list(range(stride - 1, scenario.horizon, stride))
             if error_slots[-1] != scenario.horizon - 1:
                 error_slots.append(scenario.horizon - 1)
-        agent.set_error_reference(oracle.q, space)
+        agent.set_error_reference(params.lambda1, oracle.w, space)
 
     rngs = [realization_rng(scenario.base_seed, r) for r in range(scenario.realizations)]
     result = run_lockstep(
@@ -373,12 +373,13 @@ def export_metrics(trace: MetricsTrace, path) -> None:
 
 
 def read_metrics(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back a metrics CSV: (metadata dict, column arrays)."""
+    """Read back a metrics CSV: (metadata dict, column arrays), zero-length for
+    a header alone. A row whose cell count is not the header's raises ValueError."""
     metadata: dict[str, str] = {}
     rows = []
     header = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 metadata[key.strip()] = value
@@ -388,9 +389,12 @@ def read_metrics(path) -> tuple[dict, dict[str, np.ndarray]]:
                 continue
             if line.strip():
                 rows.append(line.strip().split(","))
+                if len(rows[-1]) != len(header):
+                    cells = f"{len(rows[-1])} cells, the header {len(header)}"
+                    raise ValueError(f"line {number} of {path!r} has {cells}")
     if header is None:
         raise ValueError(f"no header found in {path!r}")
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     return metadata, {name: data[:, i] for i, name in enumerate(header)}
 
 

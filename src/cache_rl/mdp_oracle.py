@@ -7,8 +7,9 @@ chosen action, so the kernel factorizes as P^G[g, g'] * P^L[l, l'] * 1{a'' = a}.
 The solver applies only its chain part, K = kron(P^G, P^L), to
 (n_g * n_l, |A|) tables; no |S| x |S| matrix is built. The mean cost, Q* and
 the linear Q all read w * refresh_counts[a_prev, a] + T[gl, a], one table
-layout that only ``StateSpace.q_table`` builds, once it fits in memory. Policy
-iteration reads Q a few rows at a time from W, the post-decision table.
+layout that only ``StateSpace`` builds: in full with ``q_table``, once it fits
+in memory, or by overlap |a_prev & a| with ``q_by_overlap``. Policy iteration
+reads Q a few rows at a time from W, the post-decision table.
 
 States are indexed g-major, then local state, then action index, which makes
 table layouts reproducible across runs. Ties in every argmin break toward
@@ -30,6 +31,13 @@ from .caching_core import ActionSpace, CostParams, SystemState, files_label, fil
 from .popularity import MarkovChain, as_discount, as_int, as_ints
 
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def block_rows(row_size: int) -> int:
+    """Rows of ``row_size`` float64 entries per block of work: at most 64 KiB (or
+    one row), under glibc's 128 KiB mmap threshold, so blocks reuse heap memory.
+    Freed (|A|, |A|) float64 blocks raise that threshold: +9.7% peak RSS at F = 20, M = 3."""
+    return max(1, 2**16 // (8 * row_size))
 
 
 class StateSpace:
@@ -54,11 +62,9 @@ class StateSpace:
         if counts_type.itemsize * n_a**2 > _PHYSICAL_MEMORY:
             raise ValueError(f"the {n_a}-action refresh table is too large to materialize")
         # refresh_counts[a, b] = |b \ a| = M - |a & b|, in the smallest type that
-        # holds M. Filled in row blocks of at most 64 KiB, under glibc's 128 KiB
-        # mmap threshold: a freed (|A|, |A|) float64 temporary would raise that
-        # threshold and grow peak RSS.
+        # holds M, filled in row blocks
         self.refresh_counts = np.empty((n_a, n_a), dtype=counts_type)
-        step = max(1, 2**16 // (8 * n_a))
+        step = block_rows(n_a)
         for a in range(0, n_a, step):
             self.refresh_counts[a : a + step] = m - masks[a : a + step] @ masks.T
         # Components of every state, in index order.
@@ -134,6 +140,21 @@ class StateSpace:
         q += post[:, None, :]
         return q.reshape(self.n_states, self.n_actions)
 
+    def q_by_overlap(self, refresh_weight: float, post: np.ndarray):
+        """``q_table(refresh_weight, post)`` by overlap k = |a_prev & a|: (rep, n_k)
+        with rep[gl, k, a] = refresh_weight * (M - k) + post[gl, a], bit for bit
+        the table's entry at every a_prev of overlap k with a, and n_k = C(M, k) *
+        C(F - M, M - k) such a_prev. The action axis is last, so that sums over
+        it run on contiguous rows. ``post`` must be an (n_g * n_l, |A|) table."""
+        post, shape = np.asarray(post, dtype=np.float64), (self.n_g * self.n_l, self.n_actions)
+        if post.shape != shape:
+            raise ValueError(f"post-decision table must be {shape[0]}x{shape[1]}, got {post.shape}")
+        m, f = self.cache_size, self.catalog_size
+        ks = range(m + 1)
+        n_k = np.array([math.comb(m, k) * math.comb(f - m, m - k) for k in ks], dtype=np.float64)
+        refresh = refresh_weight * (m - np.arange(m + 1.0))
+        return refresh[None, :, None] + post[:, None, :], n_k
+
     def expected_cost_matrix(self, params: CostParams) -> np.ndarray:
         """Mean slot cost for every (state, action) pair, shape (|S|, |A|)."""
         return self.q_table(params.lambda1, self.mismatch_cost(params))
@@ -154,14 +175,10 @@ def _post_decision(space: StateSpace, v: np.ndarray, gamma: float, params: CostP
 
 
 def _q_chunks(space: StateSpace, refresh_weight: float, post: np.ndarray):
-    """(state rows, table rows) of ``space.q_table(refresh_weight, post)``, in order.
-
-    A chunk of several rows takes at most 64 KiB, under glibc's 128 KiB mmap
-    threshold, so it reuses heap memory; (|A|, |A|) blocks, freed, raise that
-    threshold and grew peak RSS by 9.7% on F = 20, M = 3.
-    """
+    """(state rows, table rows) of ``space.q_table(refresh_weight, post)``, in
+    order, in blocks of ``block_rows(|A|)`` rows."""
     n_a = space.n_actions
-    step = max(1, 2**16 // (8 * n_a))
+    step = block_rows(n_a)
     for gl, row in enumerate(post):
         for a in range(0, n_a, step):
             chunk = refresh_weight * space.refresh_counts[a : a + step]
@@ -302,9 +319,8 @@ def long_run_average_cost(
     )
 
 
-def relative_q_error(q: np.ndarray, q_star: np.ndarray, star_norm=None) -> float:
-    """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table
-    (``star_norm``: ||Q*||_F, when the caller holds it already). Raises
+def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
+    """Relative Frobenius error ||Q - Q*||_F / ||Q*||_F of one Q table. Raises
     ValueError unless ||Q*||_F is finite and nonzero and ||Q - Q*||_F finite,
     so a non-finite or overflowing table never gives a NaN or inf error."""
     q = np.asarray(q, dtype=np.float64)
@@ -312,7 +328,7 @@ def relative_q_error(q: np.ndarray, q_star: np.ndarray, star_norm=None) -> float
     if q.shape != q_star.shape:
         raise ValueError("Q tables must have identical shapes")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
-        denom = float(np.linalg.norm(q_star)) if star_norm is None else star_norm
+        denom = float(np.linalg.norm(q_star))
         error = float(np.linalg.norm(q - q_star))
     if not 0.0 < denom < np.inf:
         raise ValueError(f"reference Q table must have a finite nonzero norm, got {denom}")

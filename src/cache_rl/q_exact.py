@@ -138,15 +138,14 @@ class BatchExactAgent(LockstepLearner):
         self._row0 = self._r * n_s  # realization r's first row
         self._at0 = self._row0 * n_a  # and its first entry
         self._next_rows = None  # each realization's row of the state the last learn saw
-        self._err_sq = None
-        if self._err_ref is not None:  # at Q = 0 each sum is the dot whose root is ||Q*||
-            self._ref = self._err_ref[0].ravel()  # Q*[s, a] at s * A + a
-            self._err_sq = np.full(n_realizations, self._ref.dot(self._ref))
+        self._err_sq = None  # at Q = 0 each sum is ||Q*||^2
+        if self._err_ref is not None:
+            self._err_sq = np.full(n_realizations, self._err_ref[2] ** 2)
 
-    def set_error_reference(self, qstar: np.ndarray, space) -> None:
-        super().set_error_reference(qstar, space)
+    def set_error_reference(self, lambda1, w: np.ndarray, space) -> None:
+        super().set_error_reference(lambda1, w, space)
+        self._ref = space.q_table(self._err_ref[0], w).ravel()  # Q*[s, a] at s * A + a
         if self.q is not None:  # after begin: the sums restart from the tables, once
-            self._ref = self._err_ref[0].ravel()
             diffs = (q_r.ravel() - self._ref for q_r in self.q)
             self._err_sq = np.array([d.dot(d) for d in diffs])
 
@@ -178,7 +177,7 @@ class BatchExactAgent(LockstepLearner):
 
     def normalized_error(self) -> np.ndarray:
         """Per realization, ||Q - Q*||_F / ||Q*||_F from the running sums."""
-        norm = self.error_reference()[1]
+        norm = self.error_reference()[2]
         return np.sqrt(np.maximum(self._err_sq, 0.0)) / norm
 
     def trace_beta(self, j) -> float:

@@ -20,25 +20,25 @@ and ``sgd_update`` (``sgd_step``).
 
 The lockstep agent's Q error needs no (|S|, |A|) table. Over a state space,
 Q_theta(g, l, a_prev, a) = D(g, l, a) + theta_r * (M - k) with
-D = (theta_g[g] + theta_l[l])^T (1 - a) and k = |a_prev & a|, so Q_theta - Q*
-depends on the previous cache only through the overlap k, provided Q* does:
-Q* = w * (M - k) + W(g, l, a), the form that ``StateSpace.q_table`` builds.
-Then ||Q_theta - Q*||_F^2 = sum over (g, l, a, k) of n_k * (D + theta_r * (M - k)
-- Q*_k)^2, with n_k = C(M, k) * C(F - M, M - k) previous caches of overlap k.
-That costs O(n_g * n_l * |A| * (M + 1)) per realization instead of
-O(n_g * n_l * |A|^2). ``linear_q_matrix`` still materializes the table.
+D = (theta_g[g] + theta_l[l])^T (1 - a) and k = |a_prev & a|. The reference
+is given as (lambda1, W), Q* = lambda1 * (M - k) + W(g, l, a), so Q_theta - Q*
+depends on the previous cache only through k, and ||Q_theta - Q*||_F^2 = sum
+over (g, l, a, k) of n_k * (D + theta_r * (M - k) - Q*_k)^2, with Q*_k and
+n_k = C(M, k) * C(F - M, M - k), the number of previous caches of overlap k,
+from ``StateSpace.q_by_overlap``. That costs O(n_g * n_l * |A| * (M + 1)) per
+realization instead of O(n_g * n_l * |A|^2). ``linear_q_matrix`` still
+materializes the table.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caching_core import CacheAction, SystemState, fetched_count, files_mask, write_table
-from .mdp_oracle import StateSpace
+from .mdp_oracle import StateSpace, block_rows
 from .popularity import as_discount, as_int, as_number
 from .schedules import EpsilonSchedule, PiecewiseCostSchedule, as_epsilon_schedule
 from .simulate import (
@@ -228,40 +228,6 @@ def sgd_update(
     return out
 
 
-def overlap_table(qstar: np.ndarray, space: StateSpace):
-    """``qstar`` by overlap: (rep, weights) with rep[gl, k, a] = Q*(gl, a_prev, a)
-    at the lowest a_prev with |a_prev & a| = k, and weights[k] = n_k =
-    C(M, k) * C(F - M, M - k), the number of such a_prev (a k with n_k = 0 keeps
-    an arbitrary entry of weight 0). The action axis is last, so that sums
-    over it run on contiguous rows.
-
-    Raises ValueError unless every entry of the (|S|, |A|) table ``qstar``
-    equals its representative, checked a few rows (at most 64 KiB) at a time.
-    """
-    m, n_a = space.cache_size, space.n_actions
-    ks = np.arange(m + 1)
-    n_k = [math.comb(m, k) * math.comb(space.catalog_size - m, m - k) for k in ks]
-    weights = np.array(n_k, dtype=np.float64)
-    step = max(1, 2**16 // (8 * n_a))
-    # the overlap is symmetric, so row a of it lists each a_prev's overlap with a
-    first = np.empty((m + 1, n_a), dtype=np.intp)
-    for a in range(0, n_a, step):
-        overlap = m - space.refresh_counts[a : a + step]
-        first[:, a : a + step] = np.argmax(overlap[:, None, :] == ks[:, None], axis=2).T
-    q = qstar.reshape(-1, n_a, n_a)
-    cols = np.arange(n_a)
-    rep = q[:, first, cols]
-    for a in range(0, n_a, step):
-        overlap = m - space.refresh_counts[a : a + step]
-        for q_gl, rep_gl in zip(q, rep):
-            if not np.array_equal(q_gl[a : a + step], rep_gl[overlap, cols]):
-                raise ValueError(
-                    "Q* reference must depend on the previous cache only through its "
-                    "overlap with the next one, as StateSpace.q_table builds it"
-                )
-    return rep, weights
-
-
 def linear_q_matrix(params: LinearParams, space: StateSpace) -> np.ndarray:
     """Materialize the linear learner's Q values over all (state, action) of
     ``space``, whose chain and catalog sizes the parameters must have."""
@@ -335,45 +301,29 @@ class BatchLinearAgent(LockstepLearner):
             theta_r=float(self.theta_r[realization]),
         )
 
-    def set_error_reference(self, qstar: np.ndarray, space) -> None:
-        """As :meth:`LockstepLearner.set_error_reference`, and ``qstar`` must
-        depend on the previous cache only through its overlap with the next
-        one, as every table that ``StateSpace.q_table`` builds does; else
-        ValueError, with the reference left as it was."""
-        previous = self._err_ref
-        super().set_error_reference(qstar, space)
-        try:
-            self._by_overlap = overlap_table(self._err_ref[0], space)
-        except ValueError:
-            self._err_ref = previous
-            raise
-        self._uncached = (1.0 - space.action_masks).T
-
     def normalized_error(self) -> np.ndarray:
         """Per realization, ||Q - Q*||_F / ||Q*||_F in the per-overlap closed form:
-        the root of the sum over (g, l, k, a) of n_k * (theta_r * (M - k) + D - Q*_k)^2,
-        in O(n_g * n_l * |A| * (M + 1)) per realization, for a Q* that depends
-        on the previous cache only through the overlap k (the rule that
-        ``set_error_reference`` checks).
+        the root of the sum over (g, l, k, a) of n_k * (theta_r * (M - k) + D - Q*_k)^2.
 
-        For each (g, l) and block of realizations, D = (theta_g[r, g] +
-        theta_l[r, l]) (1 - a) is one matmul. A block's temporaries take at
-        most 64 KiB (or one realization), under glibc's mmap threshold. A sum
-        that overflows, or a non-finite theta, raises DivergenceError.
+        For each (g, l) and block of ``block_rows((M + 1) * |A|)``
+        realizations, D = (theta_g[r, g] + theta_l[r, l]) (1 - a) is one
+        matmul. A sum that overflows, or a non-finite theta, raises
+        DivergenceError.
         """
-        norm, space = self.error_reference()[1:]
+        norm, space = self.error_reference()[2:]
         rep, weights = self._by_overlap
         n_k, n_a = rep.shape[1:]
         refresh = self.m - np.arange(n_k)
         n_real = len(self.theta_r)
-        step = max(1, 2**13 // (n_k * n_a))
+        step = block_rows(n_k * n_a)
+        uncached = (1.0 - space.action_masks).T
         err_sq = np.zeros(n_real)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
             for gl, rep_gl in enumerate(rep):
                 g, l = divmod(gl, space.n_l)
                 for r in range(0, n_real, step):
                     at = slice(r, r + step)
-                    d = (self.theta_g[at, g] + self.theta_l[at, l]) @ self._uncached
+                    d = (self.theta_g[at, g] + self.theta_l[at, l]) @ uncached
                     e = (self.theta_r[at, None] * refresh)[:, :, None] + d[:, None, :]
                     e -= rep_gl
                     e *= e

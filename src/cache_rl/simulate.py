@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caching_core import cached_mass, fetched_count, files_label, files_mask, write_table
-from .popularity import MarkovChain, as_int, as_ints, nearest_states, next_states
+from .popularity import MarkovChain, as_int, as_ints, as_number, nearest_states, next_states
 from .schedules import PiecewiseCostSchedule, as_cost_schedule
 
 CHUNK = 2048
@@ -169,11 +169,12 @@ def run_lockstep(
     slot cost is read from tables; else an (R, F) 0/1 mask with M ones per
     row. ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
     outcome. ``error_slots`` needs ``normalized_error()`` -> (R,) and
-    ``error_reference()``, which raises when there is no Q* reference;
-    ``collect_trace`` needs ``trace_epsilon(j)`` and ``trace_beta(j)``, as a
-    :class:`LockstepLearner` has. Every option is checked before
-    ``agent.begin``: a bad schedule raises ``TypeError``, and any other bad
-    option ``ValueError``.
+    ``error_reference()``, which returns the Q* reference as (lambda1, w,
+    ||Q*||_F, space), Q* = lambda1 * refresh_counts + w, and raises when
+    there is none; ``collect_trace`` needs ``trace_epsilon(j)`` and
+    ``trace_beta(j)``, as a :class:`LockstepLearner` has. Every option is
+    checked before ``agent.begin``: a bad schedule raises ``TypeError``, and
+    any other bad option ``ValueError``.
 
     Hot path: every per-chunk array is slot-major, (n, R, ...), so slot j
     reads row j: the chains' paths from :func:`chain_path`, the agents' draws
@@ -403,9 +404,10 @@ class LockstepLearner:
     """What both learning agents share: the realization index ``_r``, the
     epsilon-greedy coins (drawn before a subclass's own draws and kept as an
     (n, R) bool table of u < epsilon), the Q-error reference and the epsilon
-    trace. A subclass sets ``f``, ``n_g`` and ``n_l``
-    and adds ``select``, ``learn``, ``trace_beta`` and ``normalized_error``,
-    each realization's ||Q - Q*||_F / ||Q*||_F against the reference."""
+    trace. The reference, Q* = lambda1 * refresh_counts + w, is kept as
+    (lambda1, w) and its by-overlap table ``_by_overlap``. A subclass sets
+    ``f``, ``n_g`` and ``n_l`` and adds ``select``, ``learn``, ``trace_beta``
+    and ``normalized_error``, each realization's ||Q - Q*||_F / ||Q*||_F."""
 
     def __init__(self, m: int, config):
         self.m = m
@@ -425,24 +427,27 @@ class LockstepLearner:
         """Per realization, whether slot ``j`` of the chunk explores."""
         return self._explore[j]
 
-    def set_error_reference(self, qstar: np.ndarray, space) -> None:
-        """Reference Q table over ``space``, a state space of this learner's network:
-        the space's chain, catalog and cache sizes must be the learner's ``n_g``,
-        ``n_l``, ``f`` and ``m``, and ``qstar`` an (|S|, |A|) table over it whose
-        norm is finite and nonzero."""
+    def set_error_reference(self, lambda1, w: np.ndarray, space) -> None:
+        """Reference Q* = ``space.q_table(lambda1, w)``, the oracle's being
+        (params.lambda1, result.w), kept without that table. The space's chain,
+        catalog and cache sizes must be the learner's ``n_g``, ``n_l``, ``f``
+        and ``m``, lambda1 must lie in [0, inf), and ||Q*||_F, summed per
+        overlap, must be finite and nonzero."""
         sizes = {"n_g": space.n_g, "n_l": space.n_l, "f": space.catalog_size, "m": space.cache_size}
         for attr, size in sizes.items():
             own = getattr(self, attr)
             as_int(size, f"{type(self).__name__} reference space {attr}", own, own + 1)
-        qstar = space.check_q_table(qstar)
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = float(np.linalg.norm(qstar))
+        lambda1 = as_number(lambda1, "lambda1", "[0, inf)")
+        rep, n_k = space.q_by_overlap(lambda1, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is rejected below
+            norm = float(np.sqrt(np.square(rep).sum(axis=(0, 2)) @ n_k))
         if not 0.0 < norm < np.inf:
             raise ValueError(f"Q* reference must have a finite nonzero norm, got {norm}")
-        self._err_ref = (qstar, norm, space)
+        self._err_ref = (lambda1, w, norm, space)
+        self._by_overlap = (rep, n_k)
 
     def error_reference(self) -> tuple:
-        """(Q*, ||Q*||_F, space) as set; raises ValueError when there is none."""
+        """(lambda1, w, ||Q*||_F, space) as set; raises ValueError when there is none."""
         if self._err_ref is None:
             raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
         return self._err_ref

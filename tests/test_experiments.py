@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cache_rl as cr
+from cache_rl import mdp_oracle
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.q_linear import BatchLinearAgent, LinearParams
 from cache_rl.simulate import realization_rng
@@ -177,6 +178,30 @@ class TestRunScenario:
         sc = cr.preset_scenario("s1", horizon=20, realizations=1, learner=learner)
         with pytest.raises(ValueError, match="error_slots needs oracle_compare"):
             cr.run_scenario(sc, oracle_compare=oracle_compare, error_slots=[3, 5])
+
+    def test_linear_q_error_where_q_does_not_fit(self, monkeypatch):
+        """The linear learner's reference is (lambda1, W*): its Q error needs no
+        (|S|, |A|) table, so it runs where one 180 x 45 table (64 800 B) does not fit."""
+        sc = cr.preset_scenario("s1", learner="linear", horizon=10, realizations=1)
+        expected = cr.run_scenario(sc, oracle_compare=True)
+        monkeypatch.setattr(mdp_oracle, "_PHYSICAL_MEMORY", 32_000)
+        trace = cr.run_scenario(sc, oracle_compare=True)
+        np.testing.assert_array_equal(trace.norm_error, expected.norm_error)
+        assert trace.oracle_average_cost == expected.oracle_average_cost
+
+    def test_linear_q_error_at_twenty_files_stays_small(self):
+        """F = 20, M = 3, R = 10, 50 slots: one (|S|, |A|) Q* table takes 39.7 MiB."""
+        sc = cr.preset_scenario("s1", learner="linear", horizon=50, realizations=10)
+        g_chain, l_chain = cr.small_network_chains(20)
+        sc = cr.scenario_with(sc, g_chain=g_chain, l_chain=l_chain, cache_size=3)
+        tracemalloc.start()
+        try:
+            trace = cr.run_scenario(sc, oracle_compare=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.norm_error is not None and np.isfinite(trace.norm_error).all()
+        assert peak < 8 * 2**20
 
     def test_identical_seeds_average_equals_single(self, small_net, small_space):
         sc = small_scenario(small_net, horizon=800)
@@ -429,43 +454,58 @@ class TestAgentContract:
         [
             ("exact-f12", "^BatchExactAgent reference space f must be 10, got 12$"),
             ("linear-1x4", "^BatchLinearAgent reference space n_g must be 1, got 2$"),
-            ("exact-shape", r"^Q table must be 180x45, got \(180, 44\)$"),
+            ("exact-shape", r"^post-decision table must be 4x45, got \(4, 44\)$"),
+            ("linear-shape", r"^post-decision table must be 4x45, got \(180, 45\)$"),
         ],
     )
     def test_foreign_reference_rejected(self, small_space, kind, message):
-        """The F = 12 network's Q* for a 10-file tabular learner, the 2x2
-        space's Q* for a learner of a 1x4 network, and a Q* of the wrong shape."""
-        qstar, space = np.ones((180, 45)), small_space
+        """The F = 12 network's (lambda1, W) for a 10-file tabular learner, the
+        2x2 space's for a learner of a 1x4 network, and a W of the wrong shape."""
+        w, space = np.ones((4, 45)), small_space
         if kind == "exact-f12":
             agent = BatchExactAgent(small_space, cr.QLearnerConfig())
             space = cr.StateSpace(*cr.small_network_chains(12), 2)
-            qstar = np.ones((space.n_states, space.n_actions))
+            w = np.ones((4, space.n_actions))
         elif kind == "linear-1x4":
             agent = BatchLinearAgent(1, 4, 10, 2, cr.LinearLearnerConfig())
-        else:
+        elif kind == "exact-shape":
             agent = BatchExactAgent(small_space, cr.QLearnerConfig())
-            qstar = np.ones((180, 44))
+            w = np.ones((4, 44))
+        else:  # a full Q table where W belongs
+            agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+            w = np.ones((180, 45))
         with pytest.raises(ValueError, match=message):
-            agent.set_error_reference(qstar, space)
+            agent.set_error_reference(10.0, w, space)
 
     @pytest.mark.parametrize("kind", ["exact", "linear"])
     @pytest.mark.parametrize(
-        "entry, norm", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf"), (1e200, "inf"), (0.0, "0.0")]
+        "lambda1, entry, message",
+        [
+            (10.0, np.nan, "Q\\* reference must have a finite nonzero norm, got nan"),
+            (10.0, np.inf, "Q\\* reference must have a finite nonzero norm, got inf"),
+            (10.0, -np.inf, "Q\\* reference must have a finite nonzero norm, got inf"),
+            (10.0, 1e200, "Q\\* reference must have a finite nonzero norm, got inf"),
+            (0.0, 0.0, "Q\\* reference must have a finite nonzero norm, got 0.0"),
+            (-1.0, 1.0, "lambda1 must lie in \\[0, inf\\), got -1.0"),
+            (np.inf, 1.0, "lambda1 must lie in \\[0, inf\\), got inf"),
+            ("1", 1.0, "lambda1 must be a number, got '1'"),
+        ],
+        ids=["nan", "inf", "-inf", "overflow", "zero", "lambda1-negative", "lambda1-inf", "lambda1-str"],
     )
-    def test_bad_reference_rejected_when_set(self, small_space, kind, entry, norm):
-        """A non-finite, overflowing or all-zero Q* raises at set time, so no
-        run starts (the parent gave NaN errors, or raised at the first snapshot)."""
+    def test_bad_reference_rejected_when_set(self, small_space, kind, lambda1, entry, message):
+        """A W with a non-finite or overflowing entry, lambda1 = 0 with W = 0, or
+        a lambda1 outside [0, inf) raises at set time, so no run starts and no
+        snapshot gives a NaN error."""
         if kind == "exact":
             agent = BatchExactAgent(small_space, cr.QLearnerConfig())
         else:
             agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
         begun = []
         agent.begin = begun.append
-        qstar = np.zeros((180, 45)) if entry == 0.0 else np.ones((180, 45))
-        qstar[3, 4] = entry
-        message = f"^Q\\* reference must have a finite nonzero norm, got {norm}$"
-        with pytest.raises(ValueError, match=message):
-            agent.set_error_reference(qstar, small_space)
+        w = np.full((4, 45), 0.0 if lambda1 == 0.0 else 1.0)
+        w[3, 4] = entry
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            agent.set_error_reference(lambda1, w, small_space)
             self.run(agent, error_slots=[2])
         assert begun == []
         with pytest.raises(ValueError, match="call set_error_reference"):
@@ -514,7 +554,7 @@ class TestOneRecord:
     def engine_run(self, sc, small_space):
         oracle = cr.policy_iteration(small_space, sc.gamma, sc.lambda_schedule.segments[0][1])
         agent = BatchExactAgent(small_space, sc.learner_config)
-        agent.set_error_reference(oracle.q, small_space)
+        agent.set_error_reference(oracle.params.lambda1, oracle.w, small_space)
         rngs = [realization_rng(sc.base_seed, r) for r in range(sc.realizations)]
         return cr.simulate.run_lockstep(
             sc.env(), agent, sc.lambda_schedule, sc.horizon, rngs,
@@ -707,6 +747,23 @@ class TestExportMetrics:
         # zero-initialized learner starts at relative error 1
         assert cols2["norm_error"][0] <= 1.0
         assert cols2["norm_error"][-1] < 1.0
+
+    def test_header_only_file_reads_empty_columns(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("# learner=exact\nslot,avg_cost\n")
+        metadata, cols = cr.read_metrics(path)
+        assert metadata == {"learner": "exact"}
+        assert list(cols) == ["slot", "avg_cost"]
+        assert all(col.shape == (0,) for col in cols.values())
+
+    @pytest.mark.parametrize("row", ["1,2.5", "1,2.5,3,4"], ids=["short", "long"])
+    def test_row_of_another_width_names_its_line(self, tmp_path, row):
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"# learner=exact\nslot,avg_cost,hit_fraction\n0,1.0,0.5\n{row}\n")
+        cells = len(row.split(","))
+        message = f"^line 4 of {re.escape(repr(path))} has {cells} cells, the header 3$"
+        with pytest.raises(ValueError, match=message):
+            cr.read_metrics(path)
 
     def test_unwritable_path_raises_with_context(self, small_net, tmp_path):
         sc = small_scenario(small_net, horizon=2, realizations=1)

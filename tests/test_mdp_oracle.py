@@ -608,3 +608,42 @@ class TestTableBuilder:
         )
         q = cr.linear_q_matrix(theta, space)
         assert np.abs(q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+
+
+@st.composite
+def overlap_cases(draw):
+    """A random instance (F <= 7, every M), a refresh weight and a random W."""
+    f = draw(st.integers(1, 7))
+    m = draw(st.integers(1, f))
+    n_g, n_l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space, params = random_instance(rng, f=f, m=m, n_g=n_g, n_l=n_l)
+    w = rng.normal(scale=params.lambda1, size=(n_g * n_l, space.n_actions))
+    return space, params.lambda1, w
+
+
+class TestTableByOverlap:
+    """``StateSpace.q_by_overlap`` is ``q_table`` with a_prev folded into the overlap."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(overlap_cases())
+    def test_every_entry_is_its_overlap_representative(self, case):
+        space, lambda1, w = case
+        rep, n_k = space.q_by_overlap(lambda1, w)
+        m, n_a = space.cache_size, space.n_actions
+        assert rep.shape == (space.n_g * space.n_l, m + 1, n_a)
+        q = space.q_table(lambda1, w).reshape(-1, n_a, n_a)  # [gl, a_prev, a]
+        overlap = m - space.refresh_counts.astype(np.int64)  # [a_prev, a]
+        by_overlap = rep[:, overlap, np.arange(n_a)]
+        assert by_overlap.tobytes() == q.tobytes()
+        assert n_k.sum() == n_a
+        np.testing.assert_array_equal(n_k, np.bincount(overlap[0], minlength=m + 1))
+
+    def test_post_table_shape_checked(self, small_space):
+        with pytest.raises(ValueError, match=r"^post-decision table must be 4x45, got \(4, 44\)$"):
+            small_space.q_by_overlap(10.0, np.ones((4, 44)))

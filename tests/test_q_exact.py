@@ -307,7 +307,8 @@ class TestConvergence:
 
 class RecordingExactAgent(BatchExactAgent):
     """Records, at each snapshot, the running error and the materialized one
-    of the same tables; after slot ``switch`` it takes ``later`` as its Q*."""
+    of the same tables; after slot ``switch`` it takes ``later``, a (lambda1,
+    W) pair, as its Q* reference."""
 
     def __init__(self, space, config, switch=None, later=None):
         super().__init__(space, config)
@@ -317,21 +318,22 @@ class RecordingExactAgent(BatchExactAgent):
     def learn(self, j, *outcome):
         super().learn(j, *outcome)
         if self.slot == self.switch:
-            self.set_error_reference(self.later, self.space)
+            self.set_error_reference(*self.later, self.space)
         self.slot += 1
 
     def normalized_error(self):
         running = super().normalized_error()
-        qstar, norm, _ = self.error_reference()
-        exact = np.array([relative_q_error(q_r, qstar, norm) for q_r in self.q])
+        lambda1, w, _, space = self.error_reference()
+        qstar = space.q_table(lambda1, w)
+        exact = np.array([relative_q_error(q_r, qstar) for q_r in self.q])
         self.snapshots.append((running, exact))
         return running
 
 
 @st.composite
 def error_runs(draw):
-    """A random small network and learner, its oracle Q* and a perturbed Q*
-    to set mid-run, with R = 1..5 and random error slots."""
+    """A random small network and learner, its oracle Q* reference (lambda1, W)
+    and a perturbed (lambda1, W) to set mid-run, with R = 1..5 and random error slots."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = draw(st.integers(2, 5))  # with M < F some file is always missed: Q* > 0
     chains = []
@@ -345,7 +347,7 @@ def error_runs(draw):
     horizon = draw(st.integers(1, 300))
     params = cr.CostParams(*(draw(st.integers(1, 1000)) for _ in range(3)))
     gamma = draw(st.sampled_from([0.0, 0.5, 0.8]))
-    qstar = cr.policy_iteration(space, gamma, params).q
+    w = cr.policy_iteration(space, gamma, params).w
     return dict(
         space=space,
         env=cr.PopularityEnv(*chains),
@@ -354,7 +356,10 @@ def error_runs(draw):
         n_real=draw(st.integers(1, 5)),
         error_slots=draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=8)),
         switch=draw(st.none() | st.integers(0, horizon - 1)),
-        qstars=[qstar, qstar * rng.uniform(0.5, 1.5, qstar.shape)],
+        references=[
+            (params.lambda1, w),
+            (params.lambda1 * rng.uniform(0.5, 1.5), w * rng.uniform(0.5, 1.5, w.shape)),
+        ],
         config=cr.QLearnerConfig(
             beta=VisitCountBeta() if draw(st.booleans()) else 0.8,
             epsilon=draw(st.floats(0.0, 1.0)),
@@ -373,9 +378,9 @@ class TestRunningError:
     def test_matches_materialized_error(self, run):
         """At every snapshot, for a reference set before the run and for one
         set after ``begin``; the drift lies on the sum, relative to ||Q*||^2."""
-        first, later = run["qstars"]
+        first, later = run["references"]
         agent = RecordingExactAgent(run["space"], run["config"], run["switch"], later)
-        agent.set_error_reference(first, run["space"])
+        agent.set_error_reference(*first, run["space"])
         rngs = [realization_rng(run["seed"], r) for r in range(run["n_real"])]
         cr.simulate.run_lockstep(
             run["env"], agent, run["params"], run["horizon"], rngs, error_slots=run["error_slots"]
@@ -386,7 +391,7 @@ class TestRunningError:
 
     def test_error_at_zero_tables_is_exactly_one(self, small_space):
         agent = BatchExactAgent(small_space, cr.QLearnerConfig())
-        agent.set_error_reference(np.arange(180 * 45.0).reshape(180, 45) / 7.0, small_space)
+        agent.set_error_reference(3.0, np.arange(4 * 45.0).reshape(4, 45) / 7.0, small_space)
         agent.begin(3)
         assert agent.normalized_error().tolist() == [1.0, 1.0, 1.0]
 
@@ -394,7 +399,7 @@ class TestRunningError:
         """At R = 200 a snapshot allocates a few (R,) vectors, no (|S|, |A|) table (64.8 KiB)."""
         agent = BatchExactAgent(small_space, cr.QLearnerConfig())
         oracle = cr.policy_iteration(small_space, 0.8, cr.CostParams(10, 600, 1000))
-        agent.set_error_reference(oracle.q, small_space)
+        agent.set_error_reference(10, oracle.w, small_space)
         agent.begin(200)
         agent.normalized_error()  # warm-up
         tracemalloc.start()
