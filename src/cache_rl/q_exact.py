@@ -11,6 +11,7 @@ table, and the lockstep agent a (R*S, A) view of its (R, S, A) tables, whose
 row r*S + s is state s of realization r. With a Q* reference the lockstep
 agent keeps each realization's squared error to Q* as a running sum, updated
 from the entry that each step changes, so its error snapshots read no table.
+It reads Q*[s, a] by overlap, as rep[gl, M - refresh, a] of ``q_by_overlap``.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class ExactQLearner:
 class BatchExactAgent(LockstepLearner):
     """Lockstep tabular learner driven by the simulation engine.
 
-    ``select`` reuses the state index that the previous ``learn`` computed,
-    as the engine passes it the state that ``learn`` saw. The running error
-    sums hold while the tables ``q`` change only through ``learn``.
+    ``select`` reuses the (g, l) index gl and the state row that the last
+    ``learn`` computed, as the engine passes it the state that ``learn`` saw.
+    The running error sums hold while ``q`` changes only through ``learn``.
     """
 
     def __init__(self, space: StateSpace, config: QLearnerConfig):
@@ -136,18 +137,9 @@ class BatchExactAgent(LockstepLearner):
         if visit_counts:
             self._visits = np.zeros(self._table.shape, dtype=np.int64)
         self._row0 = self._r * n_s  # realization r's first row
-        self._at0 = self._row0 * n_a  # and its first entry
-        self._next_rows = None  # each realization's row of the state the last learn saw
-        self._err_sq = None  # at Q = 0 each sum is ||Q*||^2
-        if self._err_ref is not None:
-            self._err_sq = np.full(n_realizations, self._err_ref[2] ** 2)
-
-    def set_error_reference(self, lambda1, w: np.ndarray, space) -> None:
-        super().set_error_reference(lambda1, w, space)
-        self._ref = space.q_table(self._err_ref[0], w).ravel()  # Q*[s, a] at s * A + a
-        if self.q is not None:  # after begin: the sums restart from the tables, once
-            diffs = (q_r.ravel() - self._ref for q_r in self.q)
-            self._err_sq = np.array([d.dot(d) for d in diffs])
+        self._next = None  # per realization, gl and row of the state the last learn saw
+        ref = self._err_ref  # at Q = 0 each error sum is ||Q*||^2
+        self._err_sq = None if ref is None else np.full(n_realizations, ref[2] ** 2)
 
     def predraw(self, rngs, ts) -> None:
         super().predraw(rngs, ts)
@@ -157,22 +149,25 @@ class BatchExactAgent(LockstepLearner):
         for r, rng in enumerate(rngs):
             self._explore_a[:, r] = rng.integers(0, n_a, size=ts.size)
 
+    def _state(self, g, l, a_prev):
+        """Per realization, the (g, l) index and the table row of state (g, l, a_prev)."""
+        gl = g * self.n_l + l
+        return gl, self._row0 + gl * self.space.n_actions + a_prev
+
     def select(self, j, g, l_seen, a_prev):
-        rows = self._next_rows
-        if rows is None:
-            rows = self._row0 + self.space.state_indices(g, l_seen, a_prev)
+        gl, rows = self._next or self._state(g, l_seen, a_prev)
         a = np.where(self.explores(j), self._explore_a[j], greedy(self._table.take(rows, axis=0)))
-        self._pending = (a, rows * self.space.n_actions + a)
+        self._pending = (gl, a, rows * self.space.n_actions + a)
         return a
 
     def learn(self, j, g_next, l_next_seen, cost, refresh) -> None:
-        a, at = self._pending
-        self._next_rows = self._row0 + self.space.state_indices(g_next, l_next_seen, a)
+        gl, a, at = self._pending
+        self._next = self._state(g_next, l_next_seen, a)
         gamma, beta = self.config.gamma, self.config.beta
-        step = tabular_step(self._table, self._visits, at, self._next_rows, cost, gamma, beta)
+        step = tabular_step(self._table, self._visits, at, self._next[1], cost, gamma, beta)
         self._beta, old, new = step
         if self._err_sq is not None:
-            ref = self._ref[at - self._at0]
+            ref = self._err_ref[0][gl, self.m - refresh, a]  # Q*[s, a] by overlap
             self._err_sq += (new - ref) ** 2 - (old - ref) ** 2
 
     def normalized_error(self) -> np.ndarray:

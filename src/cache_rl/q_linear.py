@@ -310,8 +310,7 @@ class BatchLinearAgent(LockstepLearner):
         matmul. A sum that overflows, or a non-finite theta, raises
         DivergenceError.
         """
-        norm, space = self.error_reference()[2:]
-        rep, weights = self._by_overlap
+        rep, weights, norm, space = self.error_reference()
         n_k, n_a = rep.shape[1:]
         refresh = self.m - np.arange(n_k)
         n_real = len(self.theta_r)

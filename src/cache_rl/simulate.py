@@ -169,12 +169,13 @@ def run_lockstep(
     slot cost is read from tables; else an (R, F) 0/1 mask with M ones per
     row. ``learn(j, g_next, l_next_seen, cost, refresh)`` sees the slot's
     outcome. ``error_slots`` needs ``normalized_error()`` -> (R,) and
-    ``error_reference()``, which returns the Q* reference as (lambda1, w,
-    ||Q*||_F, space), Q* = lambda1 * refresh_counts + w, and raises when
-    there is none; ``collect_trace`` needs ``trace_epsilon(j)`` and
+    ``error_reference()``, the Q* reference set before ``begin``, as (rep, n_k,
+    ||Q*||_F, space), (rep, n_k) = ``space.q_by_overlap(lambda1, w)``; it
+    raises when there is none. ``collect_trace`` needs ``trace_epsilon(j)`` and
     ``trace_beta(j)``, as a :class:`LockstepLearner` has. Every option is
     checked before ``agent.begin``: a bad schedule raises ``TypeError``, and
-    any other bad option ``ValueError``.
+    any other bad option, such as weights whose R squared costs overflow a
+    sum, ``ValueError``.
 
     Hot path: every per-chunk array is slot-major, (n, R, ...), so slot j
     reads row j: the chains' paths from :func:`chain_path`, the agents' draws
@@ -200,6 +201,8 @@ def run_lockstep(
     for attr, size in (("n_g", n_g), ("n_l", n_l)):  # declared by agents that index chain states
         as_int(getattr(agent, attr, size), f"{name}.{attr}", size, size + 1)
     m = agent.m
+    for top in (p.lambda1 * m + p.lambda2 + p.lambda3 for _, p in cost_schedule.segments):
+        as_number(n_real * top * top, "R * (lambda1 * M + lambda2 + lambda3)**2", "[0, inf)")
     space = getattr(agent, "space", None)
     if space is not None:
         as_int(space.catalog_size, f"{name}.space.catalog_size", f, f + 1)
@@ -404,15 +407,16 @@ class LockstepLearner:
     """What both learning agents share: the realization index ``_r``, the
     epsilon-greedy coins (drawn before a subclass's own draws and kept as an
     (n, R) bool table of u < epsilon), the Q-error reference and the epsilon
-    trace. The reference, Q* = lambda1 * refresh_counts + w, is kept as
-    (lambda1, w) and its by-overlap table ``_by_overlap``. A subclass sets
-    ``f``, ``n_g`` and ``n_l`` and adds ``select``, ``learn``, ``trace_beta``
-    and ``normalized_error``, each realization's ||Q - Q*||_F / ||Q*||_F."""
+    trace. The reference, Q* = lambda1 * refresh_counts + w, is fixed for a
+    run and kept only by overlap. A subclass sets ``f``, ``n_g`` and ``n_l``
+    and adds ``select``, ``learn``, ``trace_beta`` and ``normalized_error``,
+    each realization's ||Q - Q*||_F / ||Q*||_F."""
 
     def __init__(self, m: int, config):
         self.m = m
         self.config = config
         self._err_ref = None
+        self._r = None
 
     def begin(self, n_realizations: int) -> None:
         self._r = np.arange(n_realizations)
@@ -429,10 +433,12 @@ class LockstepLearner:
 
     def set_error_reference(self, lambda1, w: np.ndarray, space) -> None:
         """Reference Q* = ``space.q_table(lambda1, w)``, the oracle's being
-        (params.lambda1, result.w), kept without that table. The space's chain,
-        catalog and cache sizes must be the learner's ``n_g``, ``n_l``, ``f``
-        and ``m``, lambda1 must lie in [0, inf), and ||Q*||_F, summed per
-        overlap, must be finite and nonzero."""
+        (params.lambda1, result.w), kept by overlap and set before ``begin``.
+        The space's chain, catalog and cache sizes must be the learner's
+        ``n_g``, ``n_l``, ``f`` and ``m``, lambda1 must lie in [0, inf), and
+        ||Q*||_F, summed per overlap, must be finite and nonzero."""
+        if self._r is not None:
+            raise ValueError(f"{type(self).__name__} has begun; set the Q* reference before begin")
         sizes = {"n_g": space.n_g, "n_l": space.n_l, "f": space.catalog_size, "m": space.cache_size}
         for attr, size in sizes.items():
             own = getattr(self, attr)
@@ -443,11 +449,10 @@ class LockstepLearner:
             norm = float(np.sqrt(np.square(rep).sum(axis=(0, 2)) @ n_k))
         if not 0.0 < norm < np.inf:
             raise ValueError(f"Q* reference must have a finite nonzero norm, got {norm}")
-        self._err_ref = (lambda1, w, norm, space)
-        self._by_overlap = (rep, n_k)
+        self._err_ref = (rep, n_k, norm, space)
 
     def error_reference(self) -> tuple:
-        """(lambda1, w, ||Q*||_F, space) as set; raises ValueError when there is none."""
+        """(rep, n_k, ||Q*||_F, space), by overlap as set; raises ValueError if there is none."""
         if self._err_ref is None:
             raise ValueError(f"{type(self).__name__} has no Q* reference; call set_error_reference")
         return self._err_ref

@@ -16,13 +16,26 @@ the differential tests that replay the lockstep engine slot by slot. The
 linear learner's total score over the catalog goes through ``row_sum``,
 which restates numpy's summation order for a row, so that catalogs of 8 or
 more files compare bit for bit too.
+
+``traced_peak`` is the memory tests' one measurement of a call's peak
+allocation.
 """
 
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(``fn(*args, **kwargs)``, the peak bytes that ``tracemalloc`` traced during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def loop_sum(values, total=0.0):

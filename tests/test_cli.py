@@ -203,6 +203,21 @@ def test_run_rejects_non_finite_cost_weight(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("lambda1", [1e160, 1e308])
+def test_run_rejects_overflowing_cost_weights(tmp_path, capsys, lambda1):
+    """Finite weights whose squared slot costs overflow: exit 2, not a NaN or inf metric."""
+    doc = json.loads(cr.scenario_to_json(cr.preset_scenario("s1", horizon=5, realizations=2)))
+    doc["learner"] = "random-baseline"
+    doc["learner_config"] = None
+    doc["lambda_schedule"][0]["lambda1"] = lambda1
+    sc_path = tmp_path / "huge.json"
+    sc_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "m.csv"
+    assert main(["run", "--scenario", str(sc_path), "--out", str(out_path)]) == 2
+    assert "lambda3)**2 must lie in [0, inf), got inf" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "keys, bad, message",
     [

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from cache_rl import mdp_oracle
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.q_linear import BatchLinearAgent, LinearParams
 from cache_rl.simulate import realization_rng
+from oracles_util import traced_peak
 
 
 def small_scenario(small_net, **overrides):
@@ -194,14 +194,19 @@ class TestRunScenario:
         sc = cr.preset_scenario("s1", learner="linear", horizon=50, realizations=10)
         g_chain, l_chain = cr.small_network_chains(20)
         sc = cr.scenario_with(sc, g_chain=g_chain, l_chain=l_chain, cache_size=3)
-        tracemalloc.start()
-        try:
-            trace = cr.run_scenario(sc, oracle_compare=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        trace, peak = traced_peak(cr.run_scenario, sc, oracle_compare=True)
         assert trace.norm_error is not None and np.isfinite(trace.norm_error).all()
         assert peak < 8 * 2**20
+
+    def test_exact_q_error_builds_no_reference_table(self):
+        """F = 20, M = 3, R = 1, 50 slots: the learner's one (|S|, |A|) table
+        takes 39.7 MiB, and a Q* table beside it would take as much again."""
+        sc = cr.preset_scenario("s1", learner="exact", horizon=50, realizations=1)
+        g_chain, l_chain = cr.small_network_chains(20)
+        sc = cr.scenario_with(sc, g_chain=g_chain, l_chain=l_chain, cache_size=3)
+        trace, peak = traced_peak(cr.run_scenario, sc, oracle_compare=True)
+        assert trace.norm_error is not None and np.isfinite(trace.norm_error).all()
+        assert peak < 48 * 2**20
 
     def test_identical_seeds_average_equals_single(self, small_net, small_space):
         sc = small_scenario(small_net, horizon=800)
@@ -511,6 +516,51 @@ class TestAgentContract:
         with pytest.raises(ValueError, match="call set_error_reference"):
             agent.error_reference()
 
+    @pytest.mark.parametrize("kind", ["exact", "linear"])
+    def test_reference_after_begin_rejected(self, small_space, kind):
+        """The reference is fixed for a run: one set after ``begin`` raises and
+        leaves the reference and the Q error as they were."""
+        if kind == "exact":
+            agent = BatchExactAgent(small_space, cr.QLearnerConfig())
+        else:
+            agent = BatchLinearAgent(2, 2, 10, 2, cr.LinearLearnerConfig())
+        agent.set_error_reference(10.0, np.ones((4, 45)), small_space)
+        reference = agent.error_reference()
+        self.run(agent)
+        errors = agent.normalized_error()
+        message = rf"^{type(agent).__name__} has begun; set the Q\* reference before begin$"
+        with pytest.raises(ValueError, match=message):
+            agent.set_error_reference(20.0, np.full((4, 45), 2.0), small_space)
+        assert agent.error_reference() is reference
+        np.testing.assert_array_equal(agent.normalized_error(), errors)
+
+    @staticmethod
+    def run_weights(lambda1, agent):
+        """R = 2 and 5 slots of ``agent``, whose weights turn to (lambda1, 600, 1000) at slot 3."""
+        segments = ((0, cr.CostParams(10, 600, 1000)), (3, cr.CostParams(lambda1, 600, 1000)))
+        env = cr.PopularityEnv(*cr.small_network_chains())
+        rngs = [realization_rng(0, r) for r in range(2)]
+        return cr.simulate.run_lockstep(env, agent, cr.PiecewiseCostSchedule(segments), 5, rngs)
+
+    # 1e160: the squared costs overflow, so every cost_std would be NaN;
+    # 1e308: lambda1 * M overflows, so avg_cost would be inf
+    @pytest.mark.parametrize("lambda1", [1e160, 1e308])
+    def test_overflowing_cost_weights_rejected_before_begin(self, lambda1):
+        """Weights whose R squared slot costs could overflow a sum raise before
+        ``begin``, in any segment of the schedule."""
+        agent = cr.simulate.RandomBaselineAgent(10, 2)
+        begun = []
+        agent.begin = begun.append
+        bound = re.escape("R * (lambda1 * M + lambda2 + lambda3)**2 must lie in [0, inf), got inf")
+        with pytest.raises(ValueError, match=f"^{bound}$"):
+            self.run_weights(lambda1, agent)
+        assert begun == []
+
+    def test_large_finite_cost_weights_run(self):
+        """At lambda1 = 1e150 the bound is 8e300: every metric is finite."""
+        trace = self.run_weights(1e150, cr.simulate.RandomBaselineAgent(10, 2))
+        assert np.isfinite(trace.avg_cost).all() and np.isfinite(trace.cost_std).all()
+
     def test_linear_q_of_another_network_rejected(self, small_space):
         """Parameters of a 1x4 network measured on the 2x2 space."""
         params = LinearParams.zeros(1, 4, 10)
@@ -701,12 +751,8 @@ class TestEngineMemory:
         agent = cr.simulate.RandomBaselineAgent(10, 2)
         rngs = [realization_rng(11, r) for r in range(200)]
         fractions = 8 * 1000 * 200 * 10
-        tracemalloc.start()
-        try:
-            cr.simulate.run_lockstep(env, agent, cr.CostParams(10, 600, 1000), 1000, rngs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        run = cr.simulate.run_lockstep
+        peak = traced_peak(run, env, agent, cr.CostParams(10, 600, 1000), 1000, rngs)[1]
         assert peak < fractions / 2
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from oracles_util import (
     epsilon_soft_average_cost,
     first_principles_tables,
     random_instance,
+    traced_peak,
     value_iteration_oracle,
 )
 
@@ -506,12 +506,7 @@ class TestRefreshTable:
         """At F = 20, M = 3 the (|A|, |A|) refresh table is 1140**2 B, 1.24 MiB,
         in uint8; a float64 table or matmul over all of it would take 9.9 MiB."""
         chains = cr.small_network_chains(20)
-        tracemalloc.start()
-        try:
-            space = cr.StateSpace(*chains, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        space, peak = traced_peak(cr.StateSpace, *chains, 3)
         assert space.refresh_counts.dtype.kind == "u"
         assert peak < 2 * 2**20
         masks = space.action_masks
@@ -525,12 +520,7 @@ class TestPostDecisionSolver:
     def test_policy_iteration_builds_no_full_table(self, name):
         space = cr.StateSpace(*cr.small_network_chains(20), 3)
         table_bytes = 8 * space.n_states * space.n_actions  # 39.7 MiB
-        tracemalloc.start()
-        try:
-            res = cr.policy_iteration(space, 0.8, cr.PRESET_PARAMS[name])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(cr.policy_iteration, space, 0.8, cr.PRESET_PARAMS[name])
         assert peak < table_bytes
         assert "q" not in vars(res)
 

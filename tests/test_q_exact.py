@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +10,7 @@ from cache_rl.mdp_oracle import relative_q_error
 from cache_rl.q_exact import BatchExactAgent
 from cache_rl.schedules import ExploreThenInverseDecay, VisitCountBeta
 from cache_rl.simulate import CHUNK, realization_rng
-from oracles_util import LoopExactLearner, loop_slot_cost
+from oracles_util import LoopExactLearner, loop_slot_cost, traced_peak
 
 
 def make_learner(space, **kwargs):
@@ -307,24 +305,17 @@ class TestConvergence:
 
 class RecordingExactAgent(BatchExactAgent):
     """Records, at each snapshot, the running error and the materialized one
-    of the same tables; after slot ``switch`` it takes ``later``, a (lambda1,
-    W) pair, as its Q* reference."""
+    of the same tables, against the full Q* table of ``reference``, the
+    (lambda1, W) pair that it also sets as its Q* reference."""
 
-    def __init__(self, space, config, switch=None, later=None):
+    def __init__(self, space, config, reference):
         super().__init__(space, config)
-        self.switch, self.later = switch, later
-        self.slot, self.snapshots = 0, []
-
-    def learn(self, j, *outcome):
-        super().learn(j, *outcome)
-        if self.slot == self.switch:
-            self.set_error_reference(*self.later, self.space)
-        self.slot += 1
+        self.reference, self.snapshots = reference, []
+        self.set_error_reference(*reference, space)
 
     def normalized_error(self):
         running = super().normalized_error()
-        lambda1, w, _, space = self.error_reference()
-        qstar = space.q_table(lambda1, w)
+        qstar = self.space.q_table(*self.reference)
         exact = np.array([relative_q_error(q_r, qstar) for q_r in self.q])
         self.snapshots.append((running, exact))
         return running
@@ -332,8 +323,9 @@ class RecordingExactAgent(BatchExactAgent):
 
 @st.composite
 def error_runs(draw):
-    """A random small network and learner, its oracle Q* reference (lambda1, W)
-    and a perturbed (lambda1, W) to set mid-run, with R = 1..5 and random error slots."""
+    """A random small network and learner and its oracle Q* reference (lambda1,
+    W), with R = 1..5, random error slots, and the local state revealed or
+    quantized from 1..20 sampled requests per slot."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f = draw(st.integers(2, 5))  # with M < F some file is always missed: Q* > 0
     chains = []
@@ -350,16 +342,16 @@ def error_runs(draw):
     w = cr.policy_iteration(space, gamma, params).w
     return dict(
         space=space,
-        env=cr.PopularityEnv(*chains),
+        env=cr.PopularityEnv(
+            *chains,
+            request_mode=draw(st.sampled_from(cr.simulate.REQUEST_MODES)),
+            requests_per_slot=draw(st.integers(1, 20)),
+        ),
         params=params,
         horizon=horizon,
         n_real=draw(st.integers(1, 5)),
         error_slots=draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=8)),
-        switch=draw(st.none() | st.integers(0, horizon - 1)),
-        references=[
-            (params.lambda1, w),
-            (params.lambda1 * rng.uniform(0.5, 1.5), w * rng.uniform(0.5, 1.5, w.shape)),
-        ],
+        reference=(params.lambda1, w),
         config=cr.QLearnerConfig(
             beta=VisitCountBeta() if draw(st.booleans()) else 0.8,
             epsilon=draw(st.floats(0.0, 1.0)),
@@ -376,11 +368,9 @@ class TestRunningError:
               suppress_health_check=[HealthCheck.too_slow])
     @given(run=error_runs())
     def test_matches_materialized_error(self, run):
-        """At every snapshot, for a reference set before the run and for one
-        set after ``begin``; the drift lies on the sum, relative to ||Q*||^2."""
-        first, later = run["references"]
-        agent = RecordingExactAgent(run["space"], run["config"], run["switch"], later)
-        agent.set_error_reference(*first, run["space"])
+        """At every snapshot, in both revelation modes; the drift lies on the
+        sum, relative to ||Q*||^2."""
+        agent = RecordingExactAgent(run["space"], run["config"], run["reference"])
         rngs = [realization_rng(run["seed"], r) for r in range(run["n_real"])]
         cr.simulate.run_lockstep(
             run["env"], agent, run["params"], run["horizon"], rngs, error_slots=run["error_slots"]
@@ -402,11 +392,6 @@ class TestRunningError:
         agent.set_error_reference(10, oracle.w, small_space)
         agent.begin(200)
         agent.normalized_error()  # warm-up
-        tracemalloc.start()
-        try:
-            errors = agent.normalized_error()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        errors, peak = traced_peak(agent.normalized_error)
         assert errors.shape == (200,)
         assert peak < 16 * 1024

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 import cache_rl as cr
 from cache_rl.q_linear import BatchLinearAgent, LinearParams, top_m
 from cache_rl.simulate import CHUNK, DivergenceError, realization_rng
-from oracles_util import LoopLinearLearner, loop_slot_cost, loop_top_m, random_instance
+from oracles_util import LoopLinearLearner, loop_slot_cost, loop_top_m, random_instance, traced_peak
 
 
 def state(g, l, files, f):
@@ -501,12 +499,7 @@ class TestClosedFormQError:
         agent.theta_g[:] = rng.normal(scale=100.0, size=agent.theta_g.shape)
         agent.theta_l[:] = rng.normal(scale=100.0, size=agent.theta_l.shape)
         agent.theta_r[:] = rng.normal(scale=600.0, size=10)
-        tracemalloc.start()
-        try:
-            errors = agent.normalized_error()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        errors, peak = traced_peak(agent.normalized_error)
         assert peak < 2**20
         expected = cr.normalized_q_error(agent.params_of(9), space.q_table(*reference), space)
         assert errors[9] == pytest.approx(expected, rel=1e-12)
